@@ -29,11 +29,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from repro.core.experiments.scenarios import (
-    ScenarioRequest,
-    ScenarioResult,
-    run_scenario_cached,
-)
+from repro.config import KsmSettings, ScenarioSpec
+from repro.core.experiments.scenarios import ScenarioResult, run_cached
 from repro.core.preload import CacheDeployment
 from repro.exec.cache import default_cache
 
@@ -60,28 +57,28 @@ def pytest_configure(config):
 
 def bench_request(
     scenario: str, deployment: CacheDeployment
-) -> ScenarioRequest:
+) -> ScenarioSpec:
     """The full fingerprint of a bench scenario run.
 
     Scale, ticks, seed, scan policy and analysis backend are all part
-    of the request, so changing any ``REPRO_BENCH_*`` knob between runs
+    of the spec, so changing any ``REPRO_BENCH_*`` knob between runs
     can never serve a stale result.  (The old session dict keyed only
     on ``(scenario, deployment)`` and could.)
     """
-    return ScenarioRequest(
+    return ScenarioSpec(
         scenario=scenario,
         deployment=deployment,
         scale=BENCH_SCALE,
         measurement_ticks=BENCH_TICKS,
         seed=BENCH_SEED,
-        scan_policy=BENCH_SCAN_POLICY,
+        ksm=KsmSettings(scan_policy=BENCH_SCAN_POLICY),
         backend=BENCH_BACKEND,
     )
 
 
 def get_scenario(scenario: str, deployment: CacheDeployment) -> ScenarioResult:
     """Cache-shared page-level scenario run at the bench scale."""
-    return run_scenario_cached(
+    return run_cached(
         bench_request(scenario, deployment), cache=default_cache()
     )
 

@@ -20,7 +20,6 @@ from repro.core.experiments.testbed import (
     GuestSpec,
     KvmTestbed,
     TestbedConfig,
-    scale_kernel_profile,
     scale_workload,
 )
 from repro.core.preload import CacheDeployment
@@ -34,18 +33,11 @@ def run():
     workload = scale_workload(
         build_workload(Benchmark.DAYTRADER), BENCH_SCALE
     )
-    config = TestbedConfig(
+    config = TestbedConfig.scaled(
+        BENCH_SCALE,
         deployment=CacheDeployment.SHARED_COPY,
-        kernel_profile=scale_kernel_profile(BENCH_SCALE),
         measurement_ticks=2,
-        scale=BENCH_SCALE,
     )
-    if BENCH_SCALE < 1.0:
-        config.host_ram_bytes = max(int(6 * GiB * BENCH_SCALE), 64 * MiB)
-        config.host_kernel_bytes = int(config.host_kernel_bytes * BENCH_SCALE)
-        config.qemu_overhead_bytes = max(
-            1 << 16, int(config.qemu_overhead_bytes * BENCH_SCALE)
-        )
     specs = [
         GuestSpec(f"vm{i + 1}", max(1, int(GiB * BENCH_SCALE)), workload)
         for i in range(2)

@@ -17,12 +17,11 @@ from repro.core.experiments.testbed import (
     GuestSpec,
     KvmTestbed,
     TestbedConfig,
-    scale_kernel_profile,
     scale_workload,
 )
 from repro.core.preload import CacheDeployment
 from repro.core.report import render_series
-from repro.units import GiB, MiB
+from repro.units import GiB
 from repro.workloads.base import Workload, build_workload
 
 
@@ -34,18 +33,11 @@ def run_policy(policy: GcPolicy):
     else:
         workload = base
     workload = scale_workload(workload, BENCH_SCALE)
-    config = TestbedConfig(
+    config = TestbedConfig.scaled(
+        BENCH_SCALE,
         deployment=CacheDeployment.SHARED_COPY,
-        kernel_profile=scale_kernel_profile(BENCH_SCALE),
         measurement_ticks=3,
-        scale=BENCH_SCALE,
     )
-    if BENCH_SCALE < 1.0:
-        config.host_ram_bytes = max(int(6 * GiB * BENCH_SCALE), 64 * MiB)
-        config.host_kernel_bytes = int(config.host_kernel_bytes * BENCH_SCALE)
-        config.qemu_overhead_bytes = max(
-            1 << 16, int(config.qemu_overhead_bytes * BENCH_SCALE)
-        )
     guest_memory = max(1, int(1.25 * GiB * BENCH_SCALE))
     specs = [
         GuestSpec(f"vm{i + 1}", guest_memory, workload) for i in range(2)

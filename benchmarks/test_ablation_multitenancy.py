@@ -36,14 +36,10 @@ APPS = 3
 
 def _vm_per_app(deployment: CacheDeployment) -> int:
     workload = scale_workload(build_workload(Benchmark.DAYTRADER), SCALE)
-    config = TestbedConfig(
+    config = TestbedConfig.scaled(
+        SCALE,
         deployment=deployment,
-        kernel_profile=scale_kernel_profile(SCALE),
-        host_ram_bytes=max(int(6 * GiB * SCALE), 64 * MiB),
-        host_kernel_bytes=int(300 * MiB * SCALE),
-        qemu_overhead_bytes=max(1 << 16, int(40 * MiB * SCALE)),
         measurement_ticks=1,
-        scale=SCALE,
     )
     specs = [
         GuestSpec(f"vm{i + 1}", max(1, int(GiB * SCALE)), workload)

@@ -15,7 +15,6 @@ from repro.core.experiments.testbed import (
     GuestSpec,
     KvmTestbed,
     TestbedConfig,
-    scale_kernel_profile,
     scale_workload,
 )
 from repro.core.preload import CacheDeployment
@@ -28,14 +27,10 @@ SCALE = min(BENCH_SCALE, 0.2)
 
 def _build(satori: bool):
     workload = scale_workload(build_workload(Benchmark.DAYTRADER), SCALE)
-    config = TestbedConfig(
+    config = TestbedConfig.scaled(
+        SCALE,
         deployment=CacheDeployment.SHARED_COPY,
-        kernel_profile=scale_kernel_profile(SCALE),
-        host_ram_bytes=max(int(6 * GiB * SCALE), 64 * MiB),
-        host_kernel_bytes=int(300 * MiB * SCALE),
-        qemu_overhead_bytes=max(1 << 16, int(40 * MiB * SCALE)),
         measurement_ticks=1,
-        scale=SCALE,
     )
     specs = [
         GuestSpec(f"vm{i + 1}", max(1, int(GiB * SCALE)), workload)

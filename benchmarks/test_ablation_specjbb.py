@@ -17,12 +17,11 @@ from repro.core.experiments.testbed import (
     GuestSpec,
     KvmTestbed,
     TestbedConfig,
-    scale_kernel_profile,
     scale_workload,
 )
 from repro.core.preload import CacheDeployment
 from repro.core.report import render_kv
-from repro.units import GiB, MiB
+from repro.units import GiB
 from repro.workloads.base import build_workload
 
 SCALE = min(BENCH_SCALE, 0.2)
@@ -30,14 +29,10 @@ SCALE = min(BENCH_SCALE, 0.2)
 
 def _java_saving_fraction(benchmark: Benchmark, guest_memory: int):
     workload = scale_workload(build_workload(benchmark), SCALE)
-    config = TestbedConfig(
+    config = TestbedConfig.scaled(
+        SCALE,
         deployment=CacheDeployment.SHARED_COPY,
-        kernel_profile=scale_kernel_profile(SCALE),
-        host_ram_bytes=max(int(6 * GiB * SCALE), 64 * MiB),
-        host_kernel_bytes=int(300 * MiB * SCALE),
-        qemu_overhead_bytes=max(1 << 16, int(40 * MiB * SCALE)),
         measurement_ticks=3,
-        scale=SCALE,
     )
     specs = [
         GuestSpec(

@@ -47,7 +47,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.experiments.consolidation import run_daytrader_consolidation
-from repro.core.experiments.scenarios import run_scenario_cached
+from repro.core.experiments.scenarios import run_cached
 from repro.core.preload import CacheDeployment
 from repro.core.report import render_series, render_vm_breakdown
 from repro.exec.cache import ResultCache
@@ -107,7 +107,7 @@ def _regenerate(cache):
     passes = {}
     for figure, (scenario, deployment) in FIGURES.items():
         started = time.perf_counter()
-        result = run_scenario_cached(
+        result = run_cached(
             bench_request(scenario, deployment), cache=cache
         )
         wall = time.perf_counter() - started
@@ -221,7 +221,7 @@ def test_fig2_analysis_columnar_speedup(figure_cache):
     )
     from repro.core.columnar.pipeline import stream_owner_accounting
 
-    result = run_scenario_cached(
+    result = run_cached(
         bench_request("daytrader4", CacheDeployment.NONE),
         cache=figure_cache,
     )

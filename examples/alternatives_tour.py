@@ -44,15 +44,11 @@ from repro.workloads import build_workload
 
 def build_testbed(scale, satori=False, host_ram=None):
     workload = scale_workload(build_workload(Benchmark.DAYTRADER), scale)
-    config = TestbedConfig(
-        deployment=CacheDeployment.SHARED_COPY,
-        kernel_profile=scale_kernel_profile(scale),
-        host_ram_bytes=host_ram or max(int(6 * GiB * scale), 64 * MiB),
-        host_kernel_bytes=int(300 * MiB * scale),
-        qemu_overhead_bytes=max(1 << 16, int(40 * MiB * scale)),
-        measurement_ticks=2,
-        scale=scale,
+    config = TestbedConfig.scaled(
+        scale, deployment=CacheDeployment.SHARED_COPY, measurement_ticks=2
     )
+    if host_ram:
+        config.host_ram_bytes = host_ram
     specs = [
         GuestSpec(f"vm{i + 1}", max(1, int(GiB * scale)), workload)
         for i in range(2)

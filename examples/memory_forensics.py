@@ -27,10 +27,7 @@ from repro import (
 )
 from repro.config import Benchmark
 from repro.core.dump import collect_system_dump, read_kvm_memslots
-from repro.core.experiments.testbed import (
-    scale_kernel_profile,
-    scale_workload,
-)
+from repro.core.experiments.testbed import scale_workload
 from repro.core.translate import resolve_process_page
 from repro.units import GiB, MiB
 from repro.workloads import build_workload
@@ -40,14 +37,10 @@ def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.05
 
     workload = scale_workload(build_workload(Benchmark.DAYTRADER), scale)
-    config = TestbedConfig(
+    config = TestbedConfig.scaled(
+        scale,
         deployment=CacheDeployment.SHARED_COPY,
-        kernel_profile=scale_kernel_profile(scale),
-        host_ram_bytes=max(int(6 * GiB * scale), 64 * MiB),
-        host_kernel_bytes=int(300 * MiB * scale),
-        qemu_overhead_bytes=max(1 << 16, int(40 * MiB * scale)),
         measurement_ticks=2,
-        scale=scale,
     )
     guest_memory = max(1, int(1 * GiB * scale))
     testbed = KvmTestbed(

@@ -17,9 +17,6 @@ Quick start::
                         scale=0.1)
     print(render_java_breakdown(run(spec).java_breakdown, "Fig. 5(a)"))
 
-(The positional ``run_scenario(...)`` entry points still work but are
-deprecated shims over ``run``/``run_cached``.)
-
 See ``examples/quickstart.py`` for a guided tour and ``DESIGN.md`` for the
 system inventory.
 """
@@ -67,13 +64,8 @@ from repro.core.experiments import (
     run_hugepage_tradeoff,
     run_powervm_experiment,
     run_pressure_family,
-    run_scenario,
     run_specj_consolidation,
     scale_workload,
-)
-from repro.core.experiments.scenarios import (
-    ScenarioRequest,
-    run_scenario_cached,
 )
 from repro.exec import (
     ParallelRunner,
@@ -159,11 +151,8 @@ __all__ = [
     "KvmTestbed",
     "TestbedConfig",
     "ScenarioResult",
-    "ScenarioRequest",
     "run",
     "run_cached",
-    "run_scenario",
-    "run_scenario_cached",
     "HugePageCurveResult",
     "run_hugepage_tradeoff",
     "PowerVmResult",

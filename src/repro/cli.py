@@ -16,10 +16,12 @@ experiment; Figs. 7–8 the consolidation sweeps.  ``--scale`` shrinks all
 memory sizes proportionally (default 0.1 for interactive use; pass 1.0
 for the paper's actual sizes).
 
-Every scenario-running subcommand shares one option set, declared once
-in :func:`add_scenario_options` and decoded once by
-:func:`spec_from_args` into a :class:`repro.config.ScenarioSpec` — the
-single value object behind the whole experiment API.  ``--thp-policy``
+The shared options are declared once, in groups, by
+:func:`add_scenario_options`; each subcommand takes only the groups its
+handler reads, so an option it would ignore is a usage error.  Scenario
+runs take every group and decode it once, via
+:meth:`repro.config.ScenarioSpec.from_cli_args`, into the single value
+object behind the whole experiment API.  ``--thp-policy``
 / ``--hugepages`` switch the guests to transparent huge pages (KSM then
 splits huge blocks to merge, the trade-off ``repro hugepages`` charts).
 
@@ -82,131 +84,145 @@ _BREAKDOWN_FIGURES = {
 }
 
 
-def add_scenario_options(parser: argparse.ArgumentParser) -> None:
-    """Declare every shared scenario knob on ``parser``, exactly once.
+#: The shared scenario options, in groups; each subcommand declares only
+#: the groups its handler reads, so argparse rejects the rest.
+_OPTION_GROUPS = {
+    "size": (
+        ("--scale", dict(
+            type=float, default=0.1,
+            help="size factor for all memory quantities (1.0 = paper sizes)",
+        )),
+        ("--seed", dict(type=int, default=20130421)),
+    ),
+    "ticks": (
+        ("--ticks", dict(
+            type=int, default=4,
+            help="measurement ticks of each simulated run",
+        )),
+    ),
+    "ksm": (
+        ("--scan-policy", dict(
+            choices=["full", "incremental", "hybrid"], default="full",
+            help=(
+                "KSM scan policy: 'full' round-robin (the paper's setup), "
+                "'incremental' dirty-log-driven, or 'hybrid' with periodic "
+                "full passes"
+            ),
+        )),
+        ("--scan-engine", dict(
+            choices=["object", "batch"], default="object",
+            help=(
+                "KSM scanner implementation: 'object' per-page walk or "
+                "'batch' columnar whole-worklist kernels (identical "
+                "results, faster passes)"
+            ),
+        )),
+    ),
+    "run": (
+        ("--tiering", dict(
+            choices=["off", "hints", "compress", "balloon", "combined"],
+            default="off",
+            help=(
+                "working-set tiering mode for the run: feed cold-region "
+                "hints to KSM, compress cold pages, balloon guests with "
+                "small working sets, or all three combined"
+            ),
+        )),
+        ("--thp-policy", dict(
+            choices=list(THP_POLICIES), default="never",
+            help=(
+                "transparent-huge-page policy for the guests: 'never' "
+                "(all 4 KiB, the paper's setup), 'always' collapse every "
+                "eligible aligned range, or 'khugepaged' collapse only "
+                "working-set-hot ranges; KSM splits huge blocks on merge"
+            ),
+        )),
+        ("--backend", dict(
+            choices=["dict", "columnar", "columnar-numpy", "columnar-stdlib"],
+            default=None,
+            help=(
+                "dump-analysis pipeline: 'dict' per-page walk (default), "
+                "'columnar' vectorized arrays (numpy when available, "
+                "stdlib fallback otherwise), or an explicitly pinned "
+                "columnar implementation; $REPRO_BACKEND sets the default"
+            ),
+        )),
+        ("--profile", dict(
+            metavar="PATH", default=None,
+            help=(
+                "profile the run per phase (build/warmup/workload/tiering/"
+                "thp/scan/dump/accounting) and write the wall+CPU JSON "
+                "report to PATH; profiled runs bypass the result cache"
+            ),
+        )),
+    ),
+    "blocks": (
+        ("--hugepages", dict(
+            type=int, default=512, metavar="PAGES",
+            help=(
+                "huge-block size in base pages (power of two; default 512 "
+                "= 2 MiB); scenario runs use it only with a THP policy "
+                "other than never"
+            ),
+        )),
+    ),
+    "faults": (
+        ("--faults", dict(
+            metavar="SEED[:RATE]", default=None,
+            help=(
+                "inject collection faults from this seed (optional RATE "
+                "in [0,1] overrides every per-kind probability)"
+            ),
+        )),
+    ),
+    "exec": (
+        ("--jobs", dict(
+            type=int, default=None,
+            help=(
+                "worker processes for independent work units "
+                "(default: $REPRO_JOBS, else 1 = in-process)"
+            ),
+        )),
+        ("--no-cache", dict(
+            action="store_true",
+            help="bypass the on-disk result cache for this command",
+        )),
+        ("--cache-dir", dict(
+            default=None,
+            help=(
+                "result-cache directory (default: $REPRO_CACHE_DIR, "
+                "else .repro-cache)"
+            ),
+        )),
+    ),
+    "stats": (
+        ("--cache-stats", dict(
+            action="store_true",
+            help="print cache and runner statistics after the command",
+        )),
+    ),
+}
 
-    Each option maps onto one :class:`repro.config.ScenarioSpec` field;
-    :func:`spec_from_args` turns the parsed namespace back into a spec.
-    Every subcommand that runs a testbed shares this set, so a new knob
-    is added here (and read in ``ScenarioSpec.from_cli_args``) and
-    nowhere else.
+#: The groups each subcommand family reads; scenario runs read them all.
+_SCENARIO_GROUPS = tuple(_OPTION_GROUPS)
+_FIG6_GROUPS = ("size", "stats")
+_CONSOLIDATION_GROUPS = ("size", "ticks", "ksm", "faults", "exec", "stats")
+_PRESSURE_GROUPS = ("size", "ticks", "exec", "stats")
+_HUGEPAGES_GROUPS = ("size", "ticks", "blocks", "exec", "stats")
+
+
+def add_scenario_options(
+    parser: argparse.ArgumentParser, groups=_SCENARIO_GROUPS
+) -> None:
+    """Declare the shared scenario options of ``groups`` on ``parser``.
+
+    Every option is declared once, in :data:`_OPTION_GROUPS`, and read
+    back by ``ScenarioSpec.from_cli_args`` (or by the family handler
+    that owns it); a new knob is added there and nowhere else.
     """
-    parser.add_argument(
-        "--scale", type=float, default=0.1,
-        help="size factor for all memory quantities (1.0 = paper sizes)",
-    )
-    parser.add_argument(
-        "--ticks", type=int, default=4,
-        help="measurement ticks for the breakdown scenarios",
-    )
-    parser.add_argument("--seed", type=int, default=20130421)
-    parser.add_argument(
-        "--scan-policy",
-        choices=["full", "incremental", "hybrid"],
-        default="full",
-        help=(
-            "KSM scan policy: 'full' round-robin (the paper's setup), "
-            "'incremental' dirty-log-driven, or 'hybrid' with periodic "
-            "full passes"
-        ),
-    )
-    parser.add_argument(
-        "--scan-engine",
-        choices=["object", "batch"],
-        default="object",
-        help=(
-            "KSM scanner implementation: 'object' per-page walk or "
-            "'batch' columnar whole-worklist kernels (identical "
-            "results, faster passes)"
-        ),
-    )
-    parser.add_argument(
-        "--tiering",
-        choices=["off", "hints", "compress", "balloon", "combined"],
-        default="off",
-        help=(
-            "working-set tiering mode for the run: feed cold-region "
-            "hints to KSM, compress cold pages, balloon guests with "
-            "small working sets, or all three combined"
-        ),
-    )
-    parser.add_argument(
-        "--thp-policy",
-        choices=list(THP_POLICIES),
-        default="never",
-        help=(
-            "transparent-huge-page policy for the guests: 'never' "
-            "(all 4 KiB, the paper's setup), 'always' collapse every "
-            "eligible aligned range, or 'khugepaged' collapse only "
-            "working-set-hot ranges; KSM splits huge blocks on merge"
-        ),
-    )
-    parser.add_argument(
-        "--hugepages", type=int, default=512, metavar="PAGES",
-        help=(
-            "huge-block size in base pages (power of two; default 512 "
-            "= 2 MiB); only meaningful with --thp-policy != never"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["dict", "columnar", "columnar-numpy", "columnar-stdlib"],
-        default=None,
-        help=(
-            "dump-analysis pipeline: 'dict' per-page walk (default), "
-            "'columnar' vectorized arrays (numpy when available, "
-            "stdlib fallback otherwise), or an explicitly pinned "
-            "columnar implementation; $REPRO_BACKEND sets the default"
-        ),
-    )
-    parser.add_argument(
-        "--profile", metavar="PATH", default=None,
-        help=(
-            "profile the run per phase (build/warmup/workload/tiering/"
-            "thp/scan/dump/accounting) and write the wall+CPU JSON "
-            "report to PATH; profiled runs bypass the result cache"
-        ),
-    )
-    parser.add_argument(
-        "--faults", metavar="SEED[:RATE]", default=None,
-        help=(
-            "inject collection faults from this seed (optional RATE in "
-            "[0,1] overrides every per-kind probability)"
-        ),
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help=(
-            "worker processes for independent work units "
-            "(default: $REPRO_JOBS, else 1 = in-process)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the on-disk result cache for this command",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help=(
-            "result-cache directory (default: $REPRO_CACHE_DIR, "
-            "else .repro-cache)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-stats", action="store_true",
-        help="print cache and runner statistics after the command",
-    )
-
-
-def spec_from_args(
-    args, scenario: Optional[str] = None, deployment=None
-) -> ScenarioSpec:
-    """The :class:`ScenarioSpec` an ``add_scenario_options`` namespace
-    describes (``scenario``/``deployment`` override the namespace for
-    subcommands that hard-code them)."""
-    return ScenarioSpec.from_cli_args(
-        args, scenario=scenario, deployment=deployment
-    )
+    for group in groups:
+        for flag, kwargs in _OPTION_GROUPS[group]:
+            parser.add_argument(flag, **kwargs)
 
 
 def _add_deployment_arguments(parser: argparse.ArgumentParser) -> None:
@@ -232,9 +248,6 @@ def _add_report_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    add_scenario_options(common)
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -243,34 +256,36 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, groups=_SCENARIO_GROUPS, **kwargs):
+        subparser = sub.add_parser(name, **kwargs)
+        add_scenario_options(subparser, groups)
+        return subparser
+
     for figure in _BREAKDOWN_FIGURES:
-        sub.add_parser(figure, parents=[common], help=f"regenerate {figure}")
-    sub.add_parser("fig6", parents=[common],
-                   help="PowerVM before/after totals")
-    sub.add_parser("fig7", parents=[common],
-                   help="DayTrader consolidation sweep")
-    sub.add_parser("fig8", parents=[common],
-                   help="SPECjEnterprise consolidation sweep")
+        command(figure, help=f"regenerate {figure}")
+    command("fig6", _FIG6_GROUPS, help="PowerVM before/after totals")
+    command("fig7", _CONSOLIDATION_GROUPS,
+            help="DayTrader consolidation sweep")
+    command("fig8", _CONSOLIDATION_GROUPS,
+            help="SPECjEnterprise consolidation sweep")
     sub.add_parser("tables", help="print Tables I-IV presets")
-    scenario = sub.add_parser(
-        "scenario", parents=[common], help="run a custom scenario"
+    _add_deployment_arguments(
+        command("scenario", help="run a custom scenario")
     )
-    _add_deployment_arguments(scenario)
-    profile = sub.add_parser(
-        "profile", parents=[common],
+    _add_deployment_arguments(command(
+        "profile",
         help=(
             "run one scenario under the phase profiler and print the "
             "per-phase wall/CPU table"
         ),
-    )
-    _add_deployment_arguments(profile)
-    doctor = sub.add_parser(
-        "doctor", parents=[common],
+    ))
+    _add_deployment_arguments(command(
+        "doctor",
         help="collect one scenario resiliently and print its health reports",
-    )
-    _add_deployment_arguments(doctor)
-    hugepages = sub.add_parser(
-        "hugepages", parents=[common],
+    ))
+    hugepages = command(
+        "hugepages", _HUGEPAGES_GROUPS,
         help=(
             "run the huge-page trade-off curve: bytes KSM saves by "
             "splitting huge blocks vs the translation benefit lost, "
@@ -282,8 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restrict the curve to one scenario (default: all three)",
     )
     _add_report_arguments(hugepages)
-    pressure = sub.add_parser(
-        "pressure", parents=[common],
+    pressure = command(
+        "pressure", _PRESSURE_GROUPS,
         help=(
             "run the pressure family: KSM vs compression vs ballooning "
             "vs combined on an undersized host, identical seeds"
@@ -396,7 +411,9 @@ def _print_fault_reports(result) -> None:
 
 def _run_scenario_result(args, scenario: str, deployment):
     """Run a scenario spec: cached normally, direct when profiled."""
-    spec = spec_from_args(args, scenario=scenario, deployment=deployment)
+    spec = ScenarioSpec.from_cli_args(
+        args, scenario=scenario, deployment=deployment
+    )
     profile_path = getattr(args, "profile", None)
     if profile_path is None and args.command != "profile":
         return run_cached(spec, cache=_cache_from(args))
@@ -432,12 +449,6 @@ def _run_breakdown_figure(figure: str, args) -> None:
 
 
 def _run_fig6(args) -> None:
-    if args.faults is not None:
-        print(
-            "note: fig6 models the PowerVM hosts without a crash dump; "
-            "--faults has nothing to inject and is ignored",
-            file=sys.stderr,
-        )
     result = run_powervm_experiment(scale=args.scale, seed=args.seed)
     cases = ["not-preloaded", "preloaded"]
     print(render_series(
@@ -463,14 +474,14 @@ def _run_consolidation(figure: str, args) -> None:
         result = run_daytrader_consolidation(
             footprint_scale=args.scale, seed=args.seed, faults=faults,
             scan_policy=args.scan_policy, scan_engine=args.scan_engine,
-            jobs=args.jobs, cache=cache,
+            measurement_ticks=args.ticks, jobs=args.jobs, cache=cache,
         )
         unit = "req/s"
     else:
         result = run_specj_consolidation(
             footprint_scale=args.scale, seed=args.seed, faults=faults,
             scan_policy=args.scan_policy, scan_engine=args.scan_engine,
-            jobs=args.jobs, cache=cache,
+            measurement_ticks=args.ticks, jobs=args.jobs, cache=cache,
         )
         unit = "EjOPS"
     print(render_series(
@@ -498,7 +509,7 @@ def _run_consolidation(figure: str, args) -> None:
 
 def _run_doctor(args) -> None:
     faults = _fault_plan(args)
-    result = run(spec_from_args(args, scenario=args.name))
+    result = run(ScenarioSpec.from_cli_args(args, scenario=args.name))
     mode = "clean collection" if faults is None else f"faults {args.faults}"
     print(f"doctor: {args.name} ({args.deployment}), {mode}")
     _print_fault_reports(result)

@@ -193,8 +193,7 @@ class HugePageSettings:
 class ScenarioSpec:
     """One fully-specified scenario run (the unified experiment API).
 
-    Composes every knob that accumulated across the CLI and the three
-    ``run_scenario*`` entry points — KSM settings, tiering, huge pages,
+    Composes every scenario knob — KSM settings, tiering, huge pages,
     the accounting backend, fault plan and parallelism — into a single
     frozen value that fingerprints itself for the result cache.
 
@@ -204,16 +203,15 @@ class ScenarioSpec:
       ``repro.cli.add_scenario_options``;
     * direct keyword construction in tests and experiment drivers.
 
-    ``repro.core.experiments.scenarios.run`` is the one entry point
-    consuming a spec; ``run_scenario`` / ``run_scenario_request`` /
-    ``run_scenario_cached`` are deprecation shims over it.
+    ``repro.core.experiments.scenarios.run`` (and its cached twin
+    ``run_cached``) is the one entry point consuming a spec.
 
-    Cache compatibility: for configurations expressible in the legacy
-    ``ScenarioRequest`` vocabulary (huge pages off, default KSM pacing,
-    default tiering shape), :meth:`cache_parts` reproduces the legacy
-    request's parts exactly, so fingerprints — and therefore every
-    previously cached result — are unchanged.  ``jobs`` never enters
-    the fingerprint (parallel runs are bit-identical to serial).
+    Cache compatibility: for configurations the pre-spec API could
+    express (huge pages off, default KSM pacing, default tiering
+    shape), :meth:`cache_parts` reproduces that API's parts exactly, so
+    fingerprints — and therefore every previously cached result — are
+    unchanged.  ``jobs`` never enters the fingerprint (parallel runs
+    are bit-identical to serial).
     """
 
     scenario: str
@@ -288,9 +286,16 @@ class ScenarioSpec:
             jobs=get("jobs"),
         )
 
-    def _legacy_representable(self) -> bool:
-        """True when the legacy ScenarioRequest vocabulary covers us."""
-        return (
+    def cache_parts(self) -> tuple:
+        """Parts fed to the result-cache fingerprint.
+
+        Specs the pre-spec API could express (huge pages off, default
+        KSM pacing, default tiering shape) emit that API's parts (see
+        :func:`_legacy_cache_parts`), so existing cache entries stay
+        valid; anything new fingerprints the spec itself (minus
+        ``jobs``).
+        """
+        legacy = (
             not self.hugepages.enabled
             and self.ksm
             == KsmSettings(
@@ -299,33 +304,8 @@ class ScenarioSpec:
             )
             and self.tiering == TieringSettings(mode=self.tiering.mode)
         )
-
-    def cache_parts(self) -> tuple:
-        """Parts fed to the result-cache fingerprint.
-
-        Legacy-representable specs emit the exact historical
-        ``("scenario-run", ScenarioRequest(...))`` parts so existing
-        cache entries stay valid; anything new fingerprints the spec
-        itself (minus ``jobs``).
-        """
-        if self._legacy_representable():
-            from repro.core.experiments.scenarios import ScenarioRequest
-
-            return (
-                "scenario-run",
-                ScenarioRequest(
-                    scenario=self.scenario,
-                    deployment=self.resolved_deployment,
-                    scale=self.scale,
-                    measurement_ticks=self.measurement_ticks,
-                    seed=self.seed,
-                    scan_policy=self.ksm.scan_policy,
-                    scan_engine=self.ksm.scan_engine,
-                    faults=self.faults,
-                    tiering=self.tiering.mode,
-                    backend=self.backend,
-                ),
-            )
+        if legacy:
+            return _legacy_cache_parts(self)
         normalized = replace(
             self, deployment=self.resolved_deployment, jobs=None
         )
@@ -336,6 +316,39 @@ class ScenarioSpec:
         from repro.exec.fingerprint import fingerprint_hex
 
         return fingerprint_hex(*self.cache_parts())
+
+
+def _legacy_cache_parts(spec: ScenarioSpec) -> tuple:
+    """The cache parts of the retired pre-spec ``ScenarioRequest`` API.
+
+    Frozen, never to change: :func:`repro.exec.fingerprint.canonical`
+    reduces a dataclass to its class name and field values, so this
+    rebuilds the canonical form of ``("scenario-run",
+    ScenarioRequest(...))`` byte for byte, fields in their historical
+    order.  Results cached through that API therefore keep hitting.
+    """
+    from repro.exec.fingerprint import canonical
+
+    fields = (
+        ("scenario", spec.scenario),
+        ("deployment", spec.resolved_deployment),
+        ("scale", spec.scale),
+        ("measurement_ticks", spec.measurement_ticks),
+        ("seed", spec.seed),
+        ("scan_policy", spec.ksm.scan_policy),
+        ("scan_engine", spec.ksm.scan_engine),
+        ("faults", spec.faults),
+        ("tiering", spec.tiering.mode),
+        ("backend", spec.backend),
+    )
+    return (
+        "scenario-run",
+        (
+            "dataclass",
+            "ScenarioRequest",
+            tuple((name, canonical(value)) for name, value in fields),
+        ),
+    )
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from repro.core.experiments.scenarios import (
     ScenarioResult,
     run,
     run_cached,
-    run_scenario,
 )
 from repro.core.experiments.hugepages import (
     HugePageCurveResult,
@@ -45,7 +44,6 @@ __all__ = [
     "ScenarioResult",
     "run",
     "run_cached",
-    "run_scenario",
     "HugePageCurveResult",
     "HugePagePoint",
     "run_hugepage_tradeoff",

@@ -25,25 +25,23 @@ number of non-primary VMs (each contributes ``R − S``).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.config import Benchmark, SPECJ_JVM_GENCON
+from repro.config import Benchmark, KsmSettings, SPECJ_JVM_GENCON
 from repro.core.experiments.testbed import (
     GuestSpec,
     KvmTestbed,
     TestbedConfig,
-    scale_kernel_profile,
     scale_workload,
 )
 from repro.core.preload import CacheDeployment
 from repro.exec.cache import ResultCache
+from repro.exec.fanout import map_cached
 from repro.exec.runner import ParallelRunner, WorkUnit
-from repro.exec.stats import GLOBAL_RUNNER_STATS
 from repro.perf.paging import PagingModel
 from repro.perf.throughput import DayTraderThroughputModel, SpecjScoreModel
-from repro.units import GiB, MiB
+from repro.units import GiB
 from repro.workloads.base import Workload, build_workload
 
 
@@ -60,48 +58,31 @@ class Footprint:
         return self.per_vm_resident_bytes - self.per_nonprimary_saving_bytes
 
 
-def measure_footprint(
-    workload: Workload,
-    deployment: CacheDeployment,
-    guest_memory_bytes: int,
-    guests: int = 3,
-    scale: float = 1.0,
-    measurement_ticks: int = 4,
-    seed: int = 20130421,
-    faults=None,
-    scan_policy: str = "full",
-    scan_engine: str = "object",
-) -> Footprint:
+def measure_footprint(request: FootprintRequest) -> Footprint:
     """Stage 1: measure R and S from a small page-level testbed.
 
-    ``faults`` (a :class:`repro.faults.FaultPlan`) switches collection
-    to resilient mode: quarantined guests drop out and R/S come from the
-    surviving VMs only.  ``scan_policy`` selects the KSM scan policy
-    used during the footprint measurement.
+    A fault plan in the request (a :class:`repro.faults.FaultPlan`)
+    switches collection to resilient mode: quarantined guests drop out
+    and R/S come from the surviving VMs only.  Module-level, so pool
+    workers can run it.
     """
-    scaled = scale_workload(workload, scale)
+    scale = request.scale
+    faults = request.faults
+    scaled = scale_workload(request.workload, scale)
+    memory = max(1, int(request.guest_memory_bytes * scale))
     specs = [
-        GuestSpec(f"vm{i + 1}", max(1, int(guest_memory_bytes * scale)), scaled)
-        for i in range(guests)
+        GuestSpec(f"vm{i + 1}", memory, scaled)
+        for i in range(request.guests)
     ]
-    config = TestbedConfig(
-        deployment=deployment,
-        kernel_profile=scale_kernel_profile(scale),
-        measurement_ticks=measurement_ticks,
-        seed=seed,
-        scale=scale,
+    config = TestbedConfig.scaled(
+        scale,
+        deployment=request.deployment,
+        measurement_ticks=request.measurement_ticks,
+        seed=request.seed,
+        ksm=KsmSettings(
+            scan_policy=request.scan_policy, scan_engine=request.scan_engine
+        ),
     )
-    config.ksm = dataclasses.replace(
-        config.ksm, scan_policy=scan_policy, scan_engine=scan_engine
-    )
-    if scale < 1.0:
-        config.host_ram_bytes = max(
-            int(config.host_ram_bytes * scale), 64 * MiB
-        )
-        config.host_kernel_bytes = int(config.host_kernel_bytes * scale)
-        config.qemu_overhead_bytes = max(
-            1 << 16, int(config.qemu_overhead_bytes * scale)
-        )
     testbed = KvmTestbed(specs, config)
     result = testbed.measure(faults=faults)
     rows = result.vm_breakdown.rows
@@ -166,10 +147,9 @@ _DEPLOYMENTS = (
 class FootprintRequest:
     """One stage-1 footprint measurement: work unit and cache key.
 
-    Like :class:`~repro.core.experiments.scenarios.ScenarioRequest`, the
-    request is self-contained (everything the measurement depends on,
-    seed included), so it can be shipped to a pool worker and used as a
-    content-addressed fingerprint interchangeably.
+    The request is self-contained (everything the measurement depends
+    on, seed included), so it can be shipped to a pool worker and used
+    as a content-addressed fingerprint interchangeably.
     """
 
     workload: Workload
@@ -186,64 +166,6 @@ class FootprintRequest:
     def cache_parts(self):
         """Input parts for :meth:`repro.exec.ResultCache.key`."""
         return ("footprint", self)
-
-
-def _measure_footprint_request(request: FootprintRequest) -> Footprint:
-    """Module-level (picklable) entry point for pool workers."""
-    return measure_footprint(
-        request.workload,
-        request.deployment,
-        request.guest_memory_bytes,
-        guests=request.guests,
-        scale=request.scale,
-        measurement_ticks=request.measurement_ticks,
-        seed=request.seed,
-        faults=request.faults,
-        scan_policy=request.scan_policy,
-        scan_engine=request.scan_engine,
-    )
-
-
-def _measure_footprints(
-    requests: Sequence[Tuple[str, FootprintRequest]],
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    runner: Optional[ParallelRunner] = None,
-) -> Dict[str, Footprint]:
-    """Cache-aware fan-out of the stage-1 footprint measurements.
-
-    The parent process resolves cache hits first and only ships misses
-    to the pool; it also stores the fresh results itself, so hit/miss/
-    store statistics live in one process regardless of worker count.
-    """
-    footprints: Dict[str, Footprint] = {}
-    keys: Dict[str, str] = {}
-    missing: List[Tuple[str, FootprintRequest]] = []
-    caching = cache is not None and cache.enabled
-    for label, request in requests:
-        if caching:
-            keys[label] = cache.key(*request.cache_parts())
-            value, hit = cache.get(keys[label])
-            if hit:
-                footprints[label] = value
-                continue
-        missing.append((label, request))
-    if missing:
-        if runner is None:
-            runner = ParallelRunner(jobs=jobs, stats=GLOBAL_RUNNER_STATS)
-        units = [
-            WorkUnit(
-                _measure_footprint_request,
-                (request,),
-                label=f"footprint:{label}:{request.deployment.value}",
-            )
-            for label, request in missing
-        ]
-        for (label, _), footprint in zip(missing, runner.map(units)):
-            if caching:
-                cache.put(keys[label], footprint)
-            footprints[label] = footprint
-    return footprints
 
 
 def _sweep(
@@ -273,28 +195,37 @@ def _sweep(
     # below is closed-form arithmetic per point — cheaper than shipping
     # a work unit — so the points stay inline.
     requests = [
-        (
-            label,
-            FootprintRequest(
-                workload=workload,
-                deployment=deployment,
-                guest_memory_bytes=guest_memory_bytes,
-                guests=footprint_guests,
-                scale=footprint_scale,
-                measurement_ticks=measurement_ticks,
-                seed=seed,
-                scan_policy=scan_policy,
-                scan_engine=scan_engine,
-                faults=faults,
-            ),
+        FootprintRequest(
+            workload=workload,
+            deployment=deployment,
+            guest_memory_bytes=guest_memory_bytes,
+            guests=footprint_guests,
+            scale=footprint_scale,
+            measurement_ticks=measurement_ticks,
+            seed=seed,
+            scan_policy=scan_policy,
+            scan_engine=scan_engine,
+            faults=faults,
         )
-        for label, deployment in _DEPLOYMENTS
+        for _, deployment in _DEPLOYMENTS
     ]
-    footprints = _measure_footprints(
-        requests, jobs=jobs, cache=cache, runner=runner
+    footprints = map_cached(
+        [
+            (
+                request.cache_parts(),
+                WorkUnit(
+                    measure_footprint,
+                    (request,),
+                    label=f"footprint:{label}:{deployment.value}",
+                ),
+            )
+            for (label, deployment), request in zip(_DEPLOYMENTS, requests)
+        ],
+        cache=cache,
+        jobs=jobs,
+        runner=runner,
     )
-    for label, deployment in _DEPLOYMENTS:
-        footprint = footprints[label]
+    for (label, _), footprint in zip(_DEPLOYMENTS, footprints):
         result.footprints[label] = footprint
         points = []
         for n_vms in vm_counts:

@@ -44,17 +44,13 @@ from repro.core.experiments.scenarios import (
     _guest_specs,
     run,
 )
-from repro.core.experiments.testbed import (
-    KvmTestbed,
-    TestbedConfig,
-    scale_kernel_profile,
-)
+from repro.core.experiments.testbed import KvmTestbed, TestbedConfig
 from repro.exec.cache import ResultCache
+from repro.exec.fanout import map_cached
 from repro.exec.runner import ParallelRunner, WorkUnit
-from repro.exec.stats import GLOBAL_RUNNER_STATS
 from repro.perf.paging import PagingModel
 from repro.perf.tlb import TlbModel
-from repro.units import DEFAULT_PAGE_SIZE, MiB
+from repro.units import DEFAULT_PAGE_SIZE
 
 __all__ = [
     "HugePagePoint",
@@ -183,22 +179,11 @@ def run_hugepage_pressure(
     point's throughput.
     """
     specs = _guest_specs(request.scenario, request.scale)
-    config = TestbedConfig(
-        kernel_profile=scale_kernel_profile(request.scale),
+    config = TestbedConfig.scaled(
+        request.scale,
         measurement_ticks=request.measurement_ticks,
         seed=request.seed,
-        scale=request.scale,
     )
-    if request.scale < 1.0:
-        config.host_ram_bytes = max(
-            int(config.host_ram_bytes * request.scale), 64 * MiB
-        )
-        config.host_kernel_bytes = int(
-            config.host_kernel_bytes * request.scale
-        )
-        config.qemu_overhead_bytes = max(
-            1 << 16, int(config.qemu_overhead_bytes * request.scale)
-        )
     config.host_ram_bytes = max(
         1 << 20, int(config.host_ram_bytes * request.host_ram_fraction)
     )
@@ -359,7 +344,7 @@ def run_hugepage_tradeoff(
                 f"unknown THP policy {policy!r}; "
                 f"expected a subset of {THP_POLICIES}"
             )
-    specs: List[Tuple[str, object]] = []
+    units: List[Tuple[tuple, WorkUnit]] = []
     for scenario in scenarios:
         for policy in policies:
             for engine in ("object", "batch"):
@@ -371,62 +356,40 @@ def run_hugepage_tradeoff(
                     ksm=KsmSettings(scan_engine=engine),
                     hugepages=_settings_for(policy, block_pages),
                 )
-                specs.append((f"{scenario}/{policy}/{engine}", spec))
-    pressure_requests = [
-        (
-            f"pressure/{policy}",
-            HugePagePressureRequest(
-                policy=policy,
-                scenario=pressure_scenario,
-                scale=scale,
-                measurement_ticks=(
-                    measurement_ticks if measurement_ticks is not None else 6
+                label = f"{scenario}/{policy}/{engine}"
+                units.append(
+                    (spec.cache_parts(), WorkUnit(run, (spec,), label=label))
+                )
+    pressure_ticks = measurement_ticks if measurement_ticks is not None else 6
+    for policy in policies:
+        request = HugePagePressureRequest(
+            policy=policy,
+            scenario=pressure_scenario,
+            scale=scale,
+            measurement_ticks=pressure_ticks,
+            seed=seed,
+            block_pages=block_pages,
+        )
+        units.append(
+            (
+                request.cache_parts(),
+                WorkUnit(
+                    run_hugepage_pressure,
+                    (request,),
+                    label=f"pressure/{policy}",
                 ),
-                seed=seed,
-                block_pages=block_pages,
-            ),
+            )
         )
-        for policy in policies
-    ]
-
-    results: Dict[str, object] = {}
-    keys: Dict[str, str] = {}
-    missing: List[Tuple[str, WorkUnit]] = []
-    caching = cache is not None and cache.enabled
-    for label, spec in specs:
-        if caching:
-            keys[label] = cache.key(*spec.cache_parts())
-            value, hit = cache.get(keys[label])
-            if hit:
-                results[label] = value
-                continue
-        missing.append((label, WorkUnit(run, (spec,), label=label)))
-    for label, request in pressure_requests:
-        if caching:
-            keys[label] = cache.key(*request.cache_parts())
-            value, hit = cache.get(keys[label])
-            if hit:
-                results[label] = value
-                continue
-        missing.append(
-            (label, WorkUnit(run_hugepage_pressure, (request,), label=label))
-        )
-    if missing:
-        if runner is None:
-            runner = ParallelRunner(jobs=jobs, stats=GLOBAL_RUNNER_STATS)
-        units = [unit for _, unit in missing]
-        for (label, _), result in zip(missing, runner.map(units)):
-            if caching:
-                cache.put(keys[label], result)
-            results[label] = result
+    outcomes = map_cached(units, cache=cache, jobs=jobs, runner=runner)
+    results = {
+        unit.label: outcome for (_, unit), outcome in zip(units, outcomes)
+    }
 
     curve = HugePageCurveResult(
         block_pages=block_pages,
         seed=seed,
         scale=scale,
-        measurement_ticks=(
-            measurement_ticks if measurement_ticks is not None else 6
-        ),
+        measurement_ticks=pressure_ticks,
         fleet_hosts=fleet_hosts,
     )
     for scenario in scenarios:
@@ -438,8 +401,8 @@ def run_hugepage_tradeoff(
                 results[f"{scenario}/{policy}/object"],
                 results[f"{scenario}/{policy}/batch"],
             )
-    for label, request in pressure_requests:
-        curve.pressure[request.policy] = results[label]
+    for policy in policies:
+        curve.pressure[policy] = results[f"pressure/{policy}"]
 
     # Analytic fleet extrapolation: every host runs the pressure
     # scenario under the given policy; savings and sacrifices scale

@@ -27,22 +27,17 @@ that invariant on every arm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.config import TieringSettings
+from repro.config import KsmSettings, TieringSettings
 from repro.core.experiments.scenarios import _guest_specs
-from repro.core.experiments.testbed import (
-    KvmTestbed,
-    TestbedConfig,
-    scale_kernel_profile,
-)
+from repro.core.experiments.testbed import KvmTestbed, TestbedConfig
 from repro.core.validate import validate_compression
 from repro.exec.cache import ResultCache
+from repro.exec.fanout import map_cached
 from repro.exec.runner import ParallelRunner, WorkUnit
-from repro.exec.stats import GLOBAL_RUNNER_STATS
 from repro.perf.paging import PagingModel
 from repro.perf.tiercost import TieringCostModel
-from repro.units import MiB
 
 #: The externally meaningful arms (the baseline "none" is internal).
 PRESSURE_ARMS = ("ksm", "compression", "balloon", "combined")
@@ -112,37 +107,23 @@ class PressureArmResult:
 
 
 def _arm_config(request: PressureArmRequest) -> TestbedConfig:
-    config = TestbedConfig(
-        kernel_profile=scale_kernel_profile(request.scale),
+    config = TestbedConfig.scaled(
+        request.scale,
         measurement_ticks=request.measurement_ticks,
         seed=request.seed,
-        scale=request.scale,
+        ksm=KsmSettings(scan_policy=request.scan_policy),
+        ksm_enabled=request.arm in ("ksm", "combined"),
     )
-    if request.scale < 1.0:
-        config.host_ram_bytes = max(
-            int(config.host_ram_bytes * request.scale), 64 * MiB
-        )
-        config.host_kernel_bytes = int(
-            config.host_kernel_bytes * request.scale
-        )
-        config.qemu_overhead_bytes = max(
-            1 << 16, int(config.qemu_overhead_bytes * request.scale)
-        )
     config.host_ram_bytes = max(
         1 << 20, int(config.host_ram_bytes * request.host_ram_fraction)
     )
-    import dataclasses as _dc
-
-    config.ksm = _dc.replace(config.ksm, scan_policy=request.scan_policy)
-    arm = request.arm
-    config.ksm_enabled = arm in ("ksm", "combined")
     mode = {
         "none": None,
         "ksm": None,
         "compression": "compress",
         "balloon": "balloon",
         "combined": "combined",
-    }[arm]
+    }[request.arm]
     if mode is not None:
         config.tiering = TieringSettings(
             mode=mode,
@@ -286,43 +267,35 @@ def run_pressure_family(
                 f"unknown pressure arm {arm!r}; "
                 f"expected a subset of {PRESSURE_ARMS}"
             )
-    requests: List[Tuple[str, PressureArmRequest]] = [
-        (
-            arm,
-            PressureArmRequest(
-                arm=arm,
-                scenario=scenario,
-                scale=scale,
-                measurement_ticks=measurement_ticks,
-                seed=seed,
-                host_ram_fraction=host_ram_fraction,
-            ),
+    names = ("none",) + tuple(arms)
+    requests = [
+        PressureArmRequest(
+            arm=arm,
+            scenario=scenario,
+            scale=scale,
+            measurement_ticks=measurement_ticks,
+            seed=seed,
+            host_ram_fraction=host_ram_fraction,
         )
-        for arm in ("none",) + tuple(arms)
+        for arm in names
     ]
-    results: Dict[str, PressureArmResult] = {}
-    keys: Dict[str, str] = {}
-    missing: List[Tuple[str, PressureArmRequest]] = []
-    caching = cache is not None and cache.enabled
-    for arm, request in requests:
-        if caching:
-            keys[arm] = cache.key(*request.cache_parts())
-            value, hit = cache.get(keys[arm])
-            if hit:
-                results[arm] = value
-                continue
-        missing.append((arm, request))
-    if missing:
-        if runner is None:
-            runner = ParallelRunner(jobs=jobs, stats=GLOBAL_RUNNER_STATS)
-        units = [
-            WorkUnit(run_pressure_arm, (request,), label=f"pressure:{arm}")
-            for arm, request in missing
-        ]
-        for (arm, _), result in zip(missing, runner.map(units)):
-            if caching:
-                cache.put(keys[arm], result)
-            results[arm] = result
+    outcomes = map_cached(
+        [
+            (
+                request.cache_parts(),
+                WorkUnit(
+                    run_pressure_arm,
+                    (request,),
+                    label=f"pressure:{request.arm}",
+                ),
+            )
+            for request in requests
+        ],
+        cache=cache,
+        jobs=jobs,
+        runner=runner,
+    )
+    results = dict(zip(names, outcomes))
     baseline = results.pop("none")
     family = PressureFamilyResult(
         scenario=scenario, seed=seed, baseline=baseline, arms=results

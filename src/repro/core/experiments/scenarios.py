@@ -17,17 +17,10 @@ shared-copy cache deployment; the same driver serves the "before" and
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.config import (
-    Benchmark,
-    HugePageSettings,
-    KsmSettings,
-    ScenarioSpec,
-    TieringSettings,
-)
+from repro.config import Benchmark, ScenarioSpec
 from repro.core.accounting import OwnerAccounting
 from repro.core.breakdown import JavaBreakdown, VmBreakdown
 from repro.core.dump import CollectionReport, SystemDump
@@ -35,14 +28,11 @@ from repro.core.validate import ValidationReport
 from repro.core.experiments.testbed import (
     GuestSpec,
     KvmTestbed,
-    MeasurementResult,
     TestbedConfig,
-    scale_kernel_profile,
     scale_workload,
 )
 from repro.core.preload import CacheDeployment
 from repro.exec.cache import ResultCache
-from repro.faults.plan import FaultPlan
 from repro.ksm.stats import KsmStats
 from repro.units import GiB
 from repro.workloads.base import build_workload
@@ -92,8 +82,8 @@ def _guest_specs(scenario: str, scale: float) -> List[GuestSpec]:
 
 def run(spec: ScenarioSpec, profiler=None) -> ScenarioResult:
     """Build, run and analyse the scenario a :class:`ScenarioSpec`
-    describes — the single entry point behind every ``run_scenario*``
-    shim and CLI subcommand.
+    describes — the single entry point behind every scenario-running
+    CLI subcommand.
 
     ``spec.scale`` < 1 shrinks every byte quantity proportionally (for
     tests); the figures run at scale 1.0, the paper's actual sizes.
@@ -104,26 +94,15 @@ def run(spec: ScenarioSpec, profiler=None) -> ScenarioResult:
     """
     deployment = spec.resolved_deployment
     specs = _guest_specs(spec.scenario, spec.scale)
-    config = TestbedConfig(
+    config = TestbedConfig.scaled(
+        spec.scale,
         deployment=deployment,
-        kernel_profile=scale_kernel_profile(spec.scale),
         seed=spec.seed,
-        scale=spec.scale,
         backend=spec.backend,
         ksm=spec.ksm,
         tiering=spec.tiering if spec.tiering.mode != "off" else None,
         hugepages=spec.hugepages if spec.hugepages.enabled else None,
     )
-    if spec.scale < 1.0:
-        config.host_ram_bytes = max(
-            int(config.host_ram_bytes * spec.scale), 64 * 1024 * 1024
-        )
-        config.host_kernel_bytes = int(
-            config.host_kernel_bytes * spec.scale
-        )
-        config.qemu_overhead_bytes = max(
-            1 << 16, int(config.qemu_overhead_bytes * spec.scale)
-        )
     if spec.measurement_ticks is not None:
         config.measurement_ticks = spec.measurement_ticks
     testbed = KvmTestbed(specs, config, profiler=profiler)
@@ -149,123 +128,10 @@ def run_cached(
     With no ``cache`` (or a disabled one) this is plain :func:`run`;
     with one, repeated invocations — and cross-figure duplicates such
     as Fig. 2 / Fig. 3(a), the identical ``daytrader4`` run — become
-    near-instant hits.  Legacy-representable specs fingerprint exactly
-    like their historical :class:`ScenarioRequest`, so pre-existing
-    cache entries keep hitting.
+    near-instant hits.  Specs the pre-spec API could express keep that
+    API's fingerprints (see :meth:`ScenarioSpec.cache_parts`), so
+    pre-existing cache entries keep hitting.
     """
     if cache is None or not cache.enabled:
         return run(spec)
     return cache.get_or_compute(spec.cache_parts(), lambda: run(spec))
-
-
-def _warn_deprecated(name: str) -> None:
-    warnings.warn(
-        f"{name} is deprecated; build a repro.config.ScenarioSpec and "
-        "call repro.core.experiments.scenarios.run/run_cached instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_scenario(
-    scenario: str,
-    deployment: CacheDeployment = CacheDeployment.NONE,
-    scale: float = 1.0,
-    measurement_ticks: Optional[int] = None,
-    seed: int = 20130421,
-    faults: Optional[FaultPlan] = None,
-    scan_policy: str = "full",
-    scan_engine: str = "object",
-    tiering: str = "off",
-    backend: str = "dict",
-    profiler=None,
-) -> ScenarioResult:
-    """Deprecated shim over :func:`run` (the historical signature).
-
-    Builds the equivalent :class:`ScenarioSpec` and runs it; results
-    and cache fingerprints are identical to the pre-spec API.
-    """
-    _warn_deprecated("run_scenario")
-    spec = ScenarioSpec(
-        scenario=scenario,
-        deployment=deployment,
-        scale=scale,
-        measurement_ticks=measurement_ticks,
-        seed=seed,
-        ksm=KsmSettings(scan_policy=scan_policy, scan_engine=scan_engine),
-        tiering=TieringSettings(mode=tiering),
-        hugepages=HugePageSettings(),
-        backend=backend,
-        faults=faults,
-    )
-    return run(spec, profiler=profiler)
-
-
-@dataclass(frozen=True)
-class ScenarioRequest:
-    """Everything that determines one breakdown scenario run.
-
-    This is both the picklable work unit the parallel runner ships to
-    workers and the complete cache fingerprint: two requests that
-    compare equal always produce byte-identical results, and any field
-    change (scale, ticks, seed, scan policy, fault plan) changes the
-    fingerprint, so a stale cached result can never be served.
-    """
-
-    scenario: str
-    deployment: CacheDeployment = CacheDeployment.NONE
-    scale: float = 1.0
-    measurement_ticks: Optional[int] = None
-    seed: int = 20130421
-    scan_policy: str = "full"
-    #: Scanner implementation; like ``backend``, part of the cache
-    #: fingerprint so engine runs are never mixed even though the
-    #: engines produce identical results.
-    scan_engine: str = "object"
-    faults: Optional[FaultPlan] = None
-    tiering: str = "off"
-    #: Dump-analysis backend.  Part of the frozen dataclass, hence of
-    #: the cache fingerprint: results computed by different backends
-    #: are never mixed in the cache, even though they should be
-    #: identical (the equivalence suite asserts it; the cache does not
-    #: rely on it).
-    backend: str = "dict"
-
-    def cache_parts(self):
-        """Input parts for :meth:`repro.exec.ResultCache.key`."""
-        return ("scenario-run", self)
-
-    def to_spec(self) -> ScenarioSpec:
-        """The equivalent :class:`ScenarioSpec` (same fingerprint)."""
-        return ScenarioSpec(
-            scenario=self.scenario,
-            deployment=self.deployment,
-            scale=self.scale,
-            measurement_ticks=self.measurement_ticks,
-            seed=self.seed,
-            ksm=KsmSettings(
-                scan_policy=self.scan_policy, scan_engine=self.scan_engine
-            ),
-            tiering=TieringSettings(mode=self.tiering),
-            hugepages=HugePageSettings(),
-            backend=self.backend,
-            faults=self.faults,
-        )
-
-
-def run_scenario_request(request: ScenarioRequest) -> ScenarioResult:
-    """Deprecated shim: run the scenario a legacy request describes."""
-    _warn_deprecated("run_scenario_request")
-    return run(request.to_spec())
-
-
-def run_scenario_cached(
-    request: ScenarioRequest, cache: Optional[ResultCache] = None
-) -> ScenarioResult:
-    """Deprecated shim over :func:`run_cached` for legacy requests.
-
-    The converted spec fingerprints exactly like the request did, so
-    cached results from the pre-spec API keep hitting.
-    """
-    _warn_deprecated("run_scenario_cached")
-    return run_cached(request.to_spec(), cache)

@@ -97,6 +97,28 @@ class TestbedConfig:
     #: every mapping at 4 KiB, the paper's configuration.
     hugepages: Optional[HugePageSettings] = None
 
+    @classmethod
+    def scaled(cls, scale: float, **fields) -> "TestbedConfig":
+        """The paper's testbed shrunk by ``scale`` (1.0 = paper sizes).
+
+        Host RAM, the host kernel, the per-guest QEMU overhead and the
+        guest kernel profile shrink with the guests; the floors (64 MiB
+        of host RAM, 64 KiB of QEMU overhead) keep tiny test scales
+        bootable.  ``fields`` set any other knob.
+        """
+        config = cls(
+            kernel_profile=scale_kernel_profile(scale), scale=scale, **fields
+        )
+        if scale < 1.0:
+            config.host_ram_bytes = max(
+                int(config.host_ram_bytes * scale), 64 * MiB
+            )
+            config.host_kernel_bytes = int(config.host_kernel_bytes * scale)
+            config.qemu_overhead_bytes = max(
+                1 << 16, int(config.qemu_overhead_bytes * scale)
+            )
+        return config
+
 
 @dataclass
 class MeasurementResult:

@@ -26,6 +26,10 @@ independent pieces out over processes:
   fallback to in-process execution (reusing the retry/backoff schedule
   of :mod:`repro.faults`) when the pool dies.
 
+* :mod:`repro.exec.fanout` is :func:`map_cached`, the loop every sweep
+  shares: look units up in the cache, run the misses through one
+  ``runner.map``, store what came back.
+
 * :mod:`repro.exec.stats` surfaces hit/miss/eviction and
   parallel/serial/retry counters (``repro cache``, ``--cache-stats``).
 """
@@ -38,6 +42,7 @@ from repro.exec.cache import (
     reset_default_cache,
     set_default_cache,
 )
+from repro.exec.fanout import map_cached
 from repro.exec.fingerprint import canonical, fingerprint64, fingerprint_hex
 from repro.exec.runner import (
     ParallelRunner,
@@ -61,6 +66,7 @@ __all__ = [
     "canonical",
     "fingerprint64",
     "fingerprint_hex",
+    "map_cached",
     "ParallelRunner",
     "RunnerStats",
     "WorkUnit",

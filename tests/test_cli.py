@@ -90,12 +90,134 @@ class TestFaultsCli:
         assert "Validation report" in out
         assert "breakdown under this dump" in out
 
-    def test_fig6_ignores_faults_with_a_note(self, capsys):
-        code = main(["fig6", "--faults", "1", "--scale", "0.02"])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "ignored" in captured.err
-        assert "before sharing" in captured.out
+    def test_fig6_rejects_faults(self, capsys):
+        """fig6 models PowerVM without a crash dump: nothing to inject."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig6", "--faults", "1", "--scale", "0.02"])
+        assert excinfo.value.code == 2
+        assert "--faults" in capsys.readouterr().err
+
+
+#: A value for every shared option a subcommand might wrongly accept
+#: (``=``-joined, so an optional positional cannot swallow the value).
+_OPTION_ARGS = {
+    "--ticks": "--ticks=2",
+    "--scan-policy": "--scan-policy=hybrid",
+    "--scan-engine": "--scan-engine=batch",
+    "--tiering": "--tiering=compress",
+    "--thp-policy": "--thp-policy=always",
+    "--hugepages": "--hugepages=64",
+    "--backend": "--backend=dict",
+    "--profile": "--profile=profile.json",
+    "--faults": "--faults=1337",
+    "--jobs": "--jobs=2",
+    "--no-cache": "--no-cache",
+    "--cache-dir": "--cache-dir=cache",
+}
+
+#: (subcommand, option) pairs whose handler never reads the option.
+_IGNORED = (
+    [
+        ("pressure", option)
+        for option in (
+            "--scan-policy", "--scan-engine", "--backend", "--tiering",
+            "--thp-policy", "--hugepages", "--faults", "--profile",
+        )
+    ]
+    + [
+        ("hugepages", option)
+        for option in (
+            "--scan-policy", "--scan-engine", "--backend", "--tiering",
+            "--thp-policy", "--faults", "--profile",
+        )
+    ]
+    + [
+        (figure, option)
+        for figure in ("fig7", "fig8")
+        for option in (
+            "--backend", "--tiering", "--thp-policy", "--hugepages",
+            "--profile",
+        )
+    ]
+    + [
+        ("fig6", option)
+        for option in (
+            "--ticks", "--scan-policy", "--scan-engine", "--tiering",
+            "--thp-policy", "--hugepages", "--backend", "--profile",
+            "--faults", "--jobs", "--no-cache", "--cache-dir",
+        )
+    ]
+)
+
+
+class TestOptionGroups:
+    """Each subcommand accepts only the options its handler reads."""
+
+    @pytest.mark.parametrize(
+        "command, option", _IGNORED,
+        ids=[f"{command}{option}" for command, option in _IGNORED],
+    )
+    def test_ignored_option_is_a_usage_error(self, command, option, capsys):
+        from repro.cli import _build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            _build_parser().parse_args([command, _OPTION_ARGS[option]])
+        assert excinfo.value.code == 2
+        assert option in capsys.readouterr().err
+
+    def test_family_commands_keep_their_own_arguments(self):
+        from repro.cli import _build_parser
+
+        parser = _build_parser()
+        args = parser.parse_args([
+            "pressure", "mixed3", "--ram-fraction", "0.5", "--ticks", "3",
+            "--jobs", "2", "--json", "--bench-out", "out.json",
+        ])
+        assert (args.name, args.ram_fraction, args.ticks, args.jobs) == (
+            "mixed3", 0.5, 3, 2
+        )
+        assert args.json and args.bench_out == "out.json"
+        args = parser.parse_args(
+            ["hugepages", "tuscany3", "--hugepages", "64", "--no-cache"]
+        )
+        assert (args.name, args.hugepages, args.no_cache) == (
+            "tuscany3", 64, True
+        )
+
+    @pytest.mark.parametrize("figure", ["fig7", "fig8"])
+    def test_consolidation_reads_ticks(self, figure, monkeypatch, capsys):
+        import repro.cli as cli
+
+        seen = {}
+
+        def fake_sweep(**kwargs):
+            seen.update(kwargs)
+            raise cli.ReproError("stop after recording the arguments")
+
+        target = {
+            "fig7": "run_daytrader_consolidation",
+            "fig8": "run_specj_consolidation",
+        }[figure]
+        monkeypatch.setattr(cli, target, fake_sweep)
+        assert main([figure, "--ticks", "3"]) == 1
+        assert seen["measurement_ticks"] == 3
+        capsys.readouterr()
+
+    def test_consolidation_ticks_default_matches_driver(self):
+        import inspect
+
+        from repro.cli import _build_parser
+        from repro.core.experiments.consolidation import (
+            run_daytrader_consolidation,
+            run_specj_consolidation,
+        )
+
+        args = _build_parser().parse_args(["fig7"])
+        for sweep in (run_daytrader_consolidation, run_specj_consolidation):
+            default = inspect.signature(sweep).parameters[
+                "measurement_ticks"
+            ].default
+            assert args.ticks == default
 
 
 class TestFleetCli:

@@ -1,9 +1,7 @@
 """The content-addressed result cache (repro.exec.cache)."""
 
-from repro.core.experiments.scenarios import (
-    ScenarioRequest,
-    run_scenario_cached,
-)
+from repro.config import ScenarioSpec
+from repro.core.experiments.scenarios import run_cached
 from repro.core.preload import CacheDeployment
 from repro.core.report import render_vm_breakdown
 from repro.exec.cache import (
@@ -15,7 +13,7 @@ from repro.exec.cache import (
     reset_default_cache,
 )
 
-TINY = ScenarioRequest(
+TINY = ScenarioSpec(
     "daytrader4", CacheDeployment.SHARED_COPY, scale=0.02,
     measurement_ticks=1, seed=99,
 )
@@ -117,11 +115,11 @@ class TestResultCache:
 class TestScenarioRoundTrip:
     def test_store_load_equal(self, tmp_path):
         writer = ResultCache(root=tmp_path)
-        fresh = run_scenario_cached(TINY, writer)
+        fresh = run_cached(TINY, writer)
         assert writer.stats.misses == 1 and writer.stats.stores == 1
 
         reader = ResultCache(root=tmp_path)
-        loaded = run_scenario_cached(TINY, reader)
+        loaded = run_cached(TINY, reader)
         assert reader.stats.hits == 1 and reader.stats.misses == 0
         assert render_vm_breakdown(
             loaded.vm_breakdown, "t"
@@ -129,7 +127,7 @@ class TestScenarioRoundTrip:
         assert loaded.ksm_stats.pages_scanned == fresh.ksm_stats.pages_scanned
 
     def test_no_cache_falls_through(self):
-        result = run_scenario_cached(TINY, cache=None)
+        result = run_cached(TINY, cache=None)
         assert result.scenario == "daytrader4"
 
 

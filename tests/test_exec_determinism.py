@@ -6,11 +6,9 @@ Equality is asserted on the *serialized reports* (the byte-for-byte
 text the figures print), the strongest observable the pipeline has.
 """
 
+from repro.config import ScenarioSpec
 from repro.core.experiments.consolidation import run_daytrader_consolidation
-from repro.core.experiments.scenarios import (
-    ScenarioRequest,
-    run_scenario_request,
-)
+from repro.core.experiments.scenarios import run
 from repro.core.preload import CacheDeployment
 from repro.core.report import render_series, render_vm_breakdown
 from repro.exec.runner import ParallelRunner, WorkUnit
@@ -57,8 +55,8 @@ class TestParallelSerialEquality:
                 assert a == b
 
     def test_breakdown_scenarios_jobs4_equal_serial(self):
-        requests = [
-            ScenarioRequest(
+        specs = [
+            ScenarioSpec(
                 "daytrader4", deployment, scale=SCALE,
                 measurement_ticks=1, seed=7,
             )
@@ -67,8 +65,8 @@ class TestParallelSerialEquality:
             )
         ]
         units = [
-            WorkUnit(run_scenario_request, (request,), label=str(index))
-            for index, request in enumerate(requests)
+            WorkUnit(run, (spec,), label=str(index))
+            for index, spec in enumerate(specs)
         ]
         serial = ParallelRunner(jobs=1).map(units)
         parallel = ParallelRunner(jobs=4).map(units)

@@ -5,13 +5,18 @@ import enum
 
 import pytest
 
-from repro.core.experiments.scenarios import ScenarioRequest
 from repro.core.preload import CacheDeployment
 from repro.exec.fingerprint import canonical, fingerprint64, fingerprint_hex
 from repro.faults import FaultPlan
 from repro.faults.plan import FaultRates
 from repro.workloads.base import build_workload
-from repro.config import Benchmark
+from repro.config import (
+    Benchmark,
+    HugePageSettings,
+    KsmSettings,
+    ScenarioSpec,
+    TieringSettings,
+)
 
 
 class Color(enum.Enum):
@@ -76,15 +81,15 @@ class TestFingerprint:
         assert fingerprint64() != 0
 
 
-class TestScenarioRequestFingerprint:
+class TestScenarioSpecFingerprint:
     """Regression for the old benchmark-session cache bug: the key must
     change whenever *any* input that affects the result changes —
     the old dict keyed only on (scenario, deployment) and could serve a
     stale result after REPRO_BENCH_SCALE/TICKS changed mid-session."""
 
-    BASE = ScenarioRequest(
+    BASE = ScenarioSpec(
         "daytrader4", CacheDeployment.NONE, scale=0.1,
-        measurement_ticks=4, seed=1, scan_policy="full",
+        measurement_ticks=4, seed=1, ksm=KsmSettings(scan_policy="full"),
     )
 
     @pytest.mark.parametrize(
@@ -95,21 +100,21 @@ class TestScenarioRequestFingerprint:
             {"scale": 0.2},
             {"measurement_ticks": 6},
             {"seed": 2},
-            {"scan_policy": "incremental"},
+            {"ksm": KsmSettings(scan_policy="incremental")},
             {"faults": FaultPlan(1337)},
+            {"ksm": KsmSettings(scan_engine="batch")},
+            {"backend": "columnar-stdlib"},
+            {"tiering": TieringSettings(mode="compress")},
+            {"hugepages": HugePageSettings(policy="always")},
         ],
     )
     def test_any_field_change_changes_fingerprint(self, change):
         changed = dataclasses.replace(self.BASE, **change)
-        assert fingerprint64(self.BASE.cache_parts()) != fingerprint64(
-            changed.cache_parts()
-        )
+        assert self.BASE.to_fingerprint() != changed.to_fingerprint()
 
-    def test_equal_requests_share_fingerprint(self):
+    def test_equal_specs_share_fingerprint(self):
         clone = dataclasses.replace(self.BASE)
-        assert fingerprint64(self.BASE.cache_parts()) == fingerprint64(
-            clone.cache_parts()
-        )
+        assert self.BASE.to_fingerprint() == clone.to_fingerprint()
 
 
 def _module_level_fn():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.experiments.consolidation import (
+    FootprintRequest,
     measure_footprint,
     run_daytrader_consolidation,
     run_specj_consolidation,
@@ -28,10 +29,10 @@ def specj():
 class TestFootprintMeasurement:
     def test_footprint_scales_back_to_full_size(self):
         workload = build_workload(Benchmark.DAYTRADER)
-        footprint = measure_footprint(
+        footprint = measure_footprint(FootprintRequest(
             workload, CacheDeployment.NONE, 1 * GiB, scale=SCALE,
             measurement_ticks=2,
-        )
+        ))
         # A 1 GB DayTrader guest maps roughly 1 GB (±20 %).
         assert 800 * MiB < footprint.per_vm_resident_bytes < 1200 * MiB
         assert 0 < footprint.per_nonprimary_saving_bytes < (
@@ -40,14 +41,14 @@ class TestFootprintMeasurement:
 
     def test_preload_increases_saving(self):
         workload = build_workload(Benchmark.DAYTRADER)
-        base = measure_footprint(
+        base = measure_footprint(FootprintRequest(
             workload, CacheDeployment.NONE, 1 * GiB, scale=SCALE,
             measurement_ticks=2,
-        )
-        preloaded = measure_footprint(
+        ))
+        preloaded = measure_footprint(FootprintRequest(
             workload, CacheDeployment.SHARED_COPY, 1 * GiB, scale=SCALE,
             measurement_ticks=2,
-        )
+        ))
         gain = (
             preloaded.per_nonprimary_saving_bytes
             - base.per_nonprimary_saving_bytes
@@ -57,10 +58,10 @@ class TestFootprintMeasurement:
 
     def test_marginal_vm_cost(self):
         workload = build_workload(Benchmark.DAYTRADER)
-        footprint = measure_footprint(
+        footprint = measure_footprint(FootprintRequest(
             workload, CacheDeployment.NONE, 1 * GiB, scale=SCALE,
             measurement_ticks=2,
-        )
+        ))
         assert footprint.marginal_vm_bytes == (
             footprint.per_vm_resident_bytes
             - footprint.per_nonprimary_saving_bytes

@@ -133,3 +133,37 @@ class TestTestbed:
         testbed.build()
         for jvm in testbed.jvms.values():
             assert jvm.cache_attached
+
+
+class TestScaledConfig:
+    """``TestbedConfig.scaled``: the one copy of the testbed sizing."""
+
+    @pytest.mark.parametrize(
+        "scale, host_ram, host_kernel, qemu, guest_kernel_code",
+        [
+            (1.0, 6442450944, 314572800, 41943040, 10485760),
+            (0.1, 644245094, 31457280, 4194304, 1048576),
+            (0.02, 128849018, 6291456, 838860, 209715),
+            # Both floors bind: 64 MiB of host RAM, 64 KiB of QEMU
+            # overhead, 64 KiB of guest kernel code.
+            (0.001, 67108864, 314572, 65536, 65536),
+        ],
+    )
+    def test_sizes(self, scale, host_ram, host_kernel, qemu,
+                   guest_kernel_code):
+        config = TestbedConfig.scaled(scale)
+        assert config.scale == scale
+        assert config.host_ram_bytes == host_ram
+        assert config.host_kernel_bytes == host_kernel
+        assert config.qemu_overhead_bytes == qemu
+        assert config.kernel_profile.code_bytes == guest_kernel_code
+        assert config.kernel_profile == scale_kernel_profile(scale)
+
+    def test_fields_pass_through(self):
+        config = TestbedConfig.scaled(
+            0.1, seed=7, measurement_ticks=3,
+            deployment=CacheDeployment.SHARED_COPY,
+        )
+        assert config.seed == 7
+        assert config.measurement_ticks == 3
+        assert config.deployment is CacheDeployment.SHARED_COPY

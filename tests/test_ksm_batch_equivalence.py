@@ -218,13 +218,17 @@ def test_no_numpy_forces_stdlib_backend(monkeypatch):
 @pytest.mark.parametrize("scan_policy", ["full", "incremental", "hybrid"])
 def test_scenario_level_equivalence(scan_policy):
     """The full testbed produces identical results under either engine."""
-    from repro.core.experiments.scenarios import run_scenario
+    from repro.config import KsmSettings, ScenarioSpec
+    from repro.core.experiments.scenarios import run
 
-    kwargs = dict(
-        scale=0.02, measurement_ticks=2, scan_policy=scan_policy
-    )
-    ref = run_scenario("daytrader4", **kwargs)
-    bat = run_scenario("daytrader4", scan_engine="batch", **kwargs)
+    def engine(name):
+        return run(ScenarioSpec(
+            "daytrader4", scale=0.02, measurement_ticks=2,
+            ksm=KsmSettings(scan_policy=scan_policy, scan_engine=name),
+        ))
+
+    ref = engine("object")
+    bat = engine("batch")
     assert ref.ksm_stats == bat.ksm_stats
     assert ref.vm_breakdown.rows == bat.vm_breakdown.rows
     assert ref.java_breakdown.rows == bat.java_breakdown.rows
@@ -233,19 +237,19 @@ def test_scenario_level_equivalence(scan_policy):
 
 def test_scenario_equivalence_under_faults():
     """Fault-injected collection does not break engine equivalence."""
-    from repro.core.experiments.scenarios import run_scenario
+    from repro.config import KsmSettings, ScenarioSpec
+    from repro.core.experiments.scenarios import run
     from repro.faults import FaultPlan
 
-    kwargs = dict(scale=0.02, measurement_ticks=2)
-    ref = run_scenario(
-        "daytrader4", faults=FaultPlan.from_spec("1337:0.2"), **kwargs
-    )
-    bat = run_scenario(
-        "daytrader4",
-        faults=FaultPlan.from_spec("1337:0.2"),
-        scan_engine="batch",
-        **kwargs,
-    )
+    def engine(name):
+        return run(ScenarioSpec(
+            "daytrader4", scale=0.02, measurement_ticks=2,
+            ksm=KsmSettings(scan_engine=name),
+            faults=FaultPlan.from_spec("1337:0.2"),
+        ))
+
+    ref = engine("object")
+    bat = engine("batch")
     assert ref.ksm_stats == bat.ksm_stats
     assert ref.vm_breakdown.rows == bat.vm_breakdown.rows
     assert ref.collection_report.render() == bat.collection_report.render()

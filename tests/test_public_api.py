@@ -1,6 +1,7 @@
 """The public API surface: exports resolve, are documented, and work."""
 
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,13 @@ class TestExports:
     def test_version(self):
         assert repro.__version__ == "1.1.0"
 
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as handle:
+            project = tomllib.load(handle)["project"]
+        assert project["version"] == repro.__version__
+
     def test_public_callables_documented(self):
         for name in repro.__all__:
             obj = getattr(repro, name)
@@ -22,7 +30,8 @@ class TestExports:
                 assert obj.__doc__, f"{name} lacks a docstring"
 
     def test_key_entry_points_present(self):
-        assert callable(repro.run_scenario)
+        assert callable(repro.run)
+        assert callable(repro.run_cached)
         assert callable(repro.run_powervm_experiment)
         assert callable(repro.run_daytrader_consolidation)
         assert callable(repro.run_specj_consolidation)
@@ -65,14 +74,3 @@ class TestMinimalFlow:
         )
         row = result.java_breakdown.non_primary_rows()[0]
         assert row.shared_fraction(MemoryCategory.CLASS_METADATA) > 0.5
-
-    def test_deprecated_shim_still_runs(self):
-        """The pre-1.1 entry point keeps working, with a warning."""
-        from repro import CacheDeployment, run_scenario
-
-        with pytest.warns(DeprecationWarning):
-            result = run_scenario(
-                "daytrader4", CacheDeployment.NONE, scale=0.02,
-                measurement_ticks=1,
-            )
-        assert result.ksm_stats.pages_scanned > 0

@@ -1,18 +1,15 @@
-"""The unified ScenarioSpec API and its deprecation shims.
+"""The unified ScenarioSpec API.
 
-One frozen value object — :class:`repro.config.ScenarioSpec` — now
-describes every scenario run; ``run_scenario`` / ``run_scenario_request``
-/ ``run_scenario_cached`` are deprecation shims over ``run`` /
-``run_cached``.  The contract tested here: shims warn but produce
-*identical* results, legacy-representable specs fingerprint exactly like
-the historical :class:`ScenarioRequest` (so pre-existing cache entries
-keep hitting), and only genuinely new configurations (huge pages on)
-fingerprint under the new tag.
+One frozen value object — :class:`repro.config.ScenarioSpec` —
+describes every scenario run, and ``run`` / ``run_cached`` consume it.
+The contract tested here: specs the pre-spec API could express keep
+that API's cache fingerprints (pinned below as literals, so pre-existing
+cache entries keep hitting), and only genuinely new configurations
+(huge pages on) fingerprint under the new tag.
 """
 
 import argparse
 import dataclasses
-import warnings
 
 import pytest
 
@@ -22,43 +19,47 @@ from repro.config import (
     ScenarioSpec,
     TieringSettings,
 )
-from repro.core.experiments.scenarios import (
-    ScenarioRequest,
-    run,
-    run_cached,
-    run_scenario,
-    run_scenario_cached,
-    run_scenario_request,
-)
 from repro.core.preload import CacheDeployment
-from repro.exec.cache import ResultCache
-from repro.exec.fingerprint import fingerprint_hex
 
 KWARGS = dict(scale=0.02, measurement_ticks=2, seed=20130421)
 
 
 class TestFingerprintCompatibility:
-    REQUESTS = [
-        ScenarioRequest("daytrader4", **KWARGS),
-        ScenarioRequest(
-            "mixed3",
-            deployment=CacheDeployment.SHARED_COPY,
-            scan_policy="hybrid",
-            **KWARGS,
+    #: Fingerprints of the retired ``ScenarioRequest`` cache parts, as
+    #: computed by the last release that shipped it.  Never update these:
+    #: a change means every existing cache entry silently went stale.
+    PINNED = [
+        (ScenarioSpec("daytrader4", **KWARGS), "826077389b9a9d94"),
+        (
+            ScenarioSpec(
+                "mixed3",
+                deployment=CacheDeployment.SHARED_COPY,
+                ksm=KsmSettings(scan_policy="hybrid"),
+                **KWARGS,
+            ),
+            "526698649333a119",
         ),
-        ScenarioRequest(
-            "tuscany3", scan_engine="batch", tiering="combined", **KWARGS
+        (
+            ScenarioSpec(
+                "tuscany3",
+                ksm=KsmSettings(scan_engine="batch"),
+                tiering=TieringSettings(mode="combined"),
+                **KWARGS,
+            ),
+            "6cb9723e04b8f78e",
         ),
-        ScenarioRequest("daytrader4", backend="columnar-stdlib", **KWARGS),
+        (
+            ScenarioSpec("daytrader4", backend="columnar-stdlib", **KWARGS),
+            "4ceb72f8ebfe0304",
+        ),
     ]
 
     @pytest.mark.parametrize(
-        "request_", REQUESTS, ids=[r.scenario for r in REQUESTS]
+        "spec, pinned", PINNED, ids=[s.scenario for s, _ in PINNED]
     )
-    def test_legacy_requests_fingerprint_unchanged(self, request_):
-        """to_spec() emits the exact historical cache parts."""
-        legacy = fingerprint_hex(*request_.cache_parts())
-        assert request_.to_spec().to_fingerprint() == legacy
+    def test_legacy_requests_fingerprint_unchanged(self, spec, pinned):
+        assert spec.cache_parts()[0] == "scenario-run"
+        assert spec.to_fingerprint() == pinned
 
     def test_hugepage_specs_fingerprint_under_new_tag(self):
         spec = ScenarioSpec(
@@ -84,38 +85,6 @@ class TestFingerprintCompatibility:
         assert legacy.to_fingerprint() == dataclasses.replace(
             legacy, jobs=7
         ).to_fingerprint()
-
-
-class TestShims:
-    def test_run_scenario_warns_and_matches_run(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_scenario("daytrader4", **KWARGS)
-        modern = run(ScenarioSpec("daytrader4", **KWARGS))
-        assert legacy.ksm_stats == modern.ksm_stats
-        assert legacy.vm_breakdown.rows == modern.vm_breakdown.rows
-        assert legacy.java_breakdown.rows == modern.java_breakdown.rows
-        assert legacy.accounting == modern.accounting
-
-    def test_run_scenario_request_warns_and_matches_run(self):
-        request = ScenarioRequest("daytrader4", scan_policy="hybrid", **KWARGS)
-        with pytest.warns(DeprecationWarning):
-            legacy = run_scenario_request(request)
-        modern = run(request.to_spec())
-        assert legacy.ksm_stats == modern.ksm_stats
-        assert legacy.accounting == modern.accounting
-
-    def test_cached_shim_and_run_cached_share_entries(self, tmp_path):
-        """A result cached through the legacy shim hits for the spec."""
-        cache = ResultCache(root=tmp_path)
-        request = ScenarioRequest("daytrader4", **KWARGS)
-        with pytest.warns(DeprecationWarning):
-            first = run_scenario_cached(request, cache=cache)
-        key = cache.key(*request.to_spec().cache_parts())
-        cached, hit = cache.get(key)
-        assert hit
-        assert cached.ksm_stats == first.ksm_stats
-        second = run_cached(request.to_spec(), cache=cache)
-        assert second.ksm_stats == first.ksm_stats
 
 
 class TestFromCliArgs:

@@ -19,7 +19,7 @@ for the paper's actual sizes).
 The shared options are declared once, in groups, by
 :func:`add_scenario_options`; each subcommand takes only the groups its
 handler reads, so an option it would ignore is a usage error.  Scenario
-runs take every group and decode it once, via
+runs take every group but ``--jobs`` and decode them once, via
 :meth:`repro.config.ScenarioSpec.from_cli_args`, into the single value
 object behind the whole experiment API.  ``--thp-policy``
 / ``--hugepages`` switch the guests to transparent huge pages (KSM then
@@ -32,7 +32,8 @@ whatever the damage made unattributable.  ``doctor`` runs one scenario
 under that regime and prints the full collection + validation reports.
 
 ``--jobs N`` (or ``REPRO_JOBS``) fans independent work units — the two
-footprint measurements behind a consolidation sweep — out over worker
+footprint measurements behind a consolidation sweep, the testbeds of the
+``pressure`` and ``hugepages`` families — out over worker
 processes; results are bit-identical to serial runs.  Figure results are
 also persisted in a content-addressed cache (``.repro-cache`` or
 ``REPRO_CACHE_DIR``), so re-running a figure, or a figure that shares
@@ -147,6 +148,8 @@ _OPTION_GROUPS = {
                 "columnar implementation; $REPRO_BACKEND sets the default"
             ),
         )),
+    ),
+    "profile": (
         ("--profile", dict(
             metavar="PATH", default=None,
             help=(
@@ -175,7 +178,7 @@ _OPTION_GROUPS = {
             ),
         )),
     ),
-    "exec": (
+    "jobs": (
         ("--jobs", dict(
             type=int, default=None,
             help=(
@@ -183,6 +186,8 @@ _OPTION_GROUPS = {
                 "(default: $REPRO_JOBS, else 1 = in-process)"
             ),
         )),
+    ),
+    "cache": (
         ("--no-cache", dict(
             action="store_true",
             help="bypass the on-disk result cache for this command",
@@ -203,12 +208,19 @@ _OPTION_GROUPS = {
     ),
 }
 
-#: The groups each subcommand family reads; scenario runs read them all.
-_SCENARIO_GROUPS = tuple(_OPTION_GROUPS)
+#: The groups each subcommand family reads.  A single scenario run is one
+#: work unit, so it reads every group but ``jobs``; ``doctor`` always runs
+#: uncached and unprofiled.
+_SCENARIO_GROUPS = tuple(group for group in _OPTION_GROUPS if group != "jobs")
+_DOCTOR_GROUPS = tuple(
+    group for group in _SCENARIO_GROUPS if group not in ("profile", "cache")
+)
 _FIG6_GROUPS = ("size", "stats")
-_CONSOLIDATION_GROUPS = ("size", "ticks", "ksm", "faults", "exec", "stats")
-_PRESSURE_GROUPS = ("size", "ticks", "exec", "stats")
-_HUGEPAGES_GROUPS = ("size", "ticks", "blocks", "exec", "stats")
+_CONSOLIDATION_GROUPS = (
+    "size", "ticks", "ksm", "faults", "jobs", "cache", "stats"
+)
+_PRESSURE_GROUPS = ("size", "ticks", "jobs", "cache", "stats")
+_HUGEPAGES_GROUPS = ("size", "ticks", "blocks", "jobs", "cache", "stats")
 
 
 def add_scenario_options(
@@ -281,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     ))
     _add_deployment_arguments(command(
-        "doctor",
+        "doctor", _DOCTOR_GROUPS,
         help="collect one scenario resiliently and print its health reports",
     ))
     hugepages = command(

@@ -320,15 +320,13 @@ class KvmTestbed:
             process.fault_file_pages(vma)
             anon = process.mmap_anon(anon_bytes, f"{name}:heap")
             stream = kernel.rng.stream("daemon", kernel.vm.name, name)
-            for page in range(anon.npages):
-                process.write_token(
-                    anon,
-                    page,
-                    stable_hash64(
-                        "daemon", kernel.vm.name, name, page,
-                        stream.getrandbits(32),
-                    ),
+            process.write_tokens(anon, [
+                stable_hash64(
+                    "daemon", kernel.vm.name, name, page,
+                    stream.getrandbits(32),
                 )
+                for page in range(anon.npages)
+            ])
 
     # ------------------------------------------------------------------
 

@@ -257,11 +257,12 @@ class GuestKernel:
     def _touch_kernel_area(
         self, tag: str, num_bytes: int, token_fn, kind: OwnerKind = OwnerKind.KERNEL
     ) -> None:
-        gfns: List[int] = []
-        for index in range(pages_for(num_bytes, self.page_size)):
-            gfn = self.alloc_gfn(PageOwner(kind, tag=f"kernel:{tag}"))
-            self.vm.write_gfn(gfn, token_fn(index))
-            gfns.append(gfn)
+        npages = pages_for(num_bytes, self.page_size)
+        gfns = [
+            self.alloc_gfn(PageOwner(kind, tag=f"kernel:{tag}"))
+            for _ in range(npages)
+        ]
+        self.vm.write_gfns(gfns, [token_fn(index) for index in range(npages)])
         self._kernel_pages[tag] = gfns
 
     def kernel_area_pages(self, tag: str) -> List[int]:

@@ -14,9 +14,14 @@ gfn and no host frame — the paper's methodology explicitly copes with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.guestos.kernel import GuestKernel, OwnerKind, PageOwner
+from repro.guestos.kernel import (
+    GuestKernel,
+    OutOfGuestMemoryError,
+    OwnerKind,
+    PageOwner,
+)
 from repro.guestos.pagecache import BackingFile
 from repro.mem.address_space import PageTable
 from repro.units import pages_for
@@ -144,23 +149,10 @@ class GuestProcess:
 
     def write_token(self, vma: Vma, page_index: int, token: int) -> None:
         """Write one page of an anonymous VMA (faults it in if needed)."""
-        self._check_alive()
-        if vma.is_file_backed:
-            raise ValueError(
-                f"VMA {vma.tag!r} is a read-only file mapping; "
-                "writes are not modelled for file pages"
-            )
-        vpn = vma.vpn_of(page_index)
-        gfn = self.page_table.translate(vpn)
-        if gfn is None:
-            gfn = self.kernel.alloc_gfn(
-                PageOwner(OwnerKind.PROCESS_ANON, pid=self.pid, tag=vma.tag)
-            )
-            self.page_table.map(vpn, gfn)
-        self.kernel.vm.write_gfn(gfn, token)
+        self.write_pages(vma, (page_index,), (token,))
 
     def write_tokens(
-        self, vma: Vma, tokens: List[int], start_page: int = 0
+        self, vma: Vma, tokens: Sequence[int], start_page: int = 0
     ) -> None:
         """Write a run of page tokens starting at ``start_page``."""
         if start_page + len(tokens) > vma.npages:
@@ -168,8 +160,68 @@ class GuestProcess:
                 f"write of {len(tokens)} pages at {start_page} overflows "
                 f"VMA of {vma.npages} pages"
             )
-        for offset, token in enumerate(tokens):
-            self.write_token(vma, start_page + offset, token)
+        self.write_pages(
+            vma, range(start_page, start_page + len(tokens)), tokens
+        )
+
+    def write_pages(
+        self, vma: Vma, pages: Sequence[int], tokens: Sequence[int]
+    ) -> None:
+        """Write ``tokens[i]`` at page index ``pages[i]`` of an anonymous
+        VMA, in order — the bulk write path every page write goes through.
+
+        The batch is checked before the first write (live process,
+        anonymous VMA, one token per page, every index inside the VMA),
+        so a rejected batch writes nothing and allocates no gfn.  Then
+        every gfn is resolved, or allocated in page order, and the whole
+        batch goes to the hypervisor in one ``write_gfns`` call.
+
+        Resolving first is exact: guest allocation never touches host
+        memory (balloon deflate-on-OOM only returns gfns to the guest
+        free list), so the host sees the same writes, in the same order,
+        as page-by-page writes would make.  Pages are sparse indices and
+        need not be sorted.
+        """
+        self._check_alive()
+        if vma.is_file_backed:
+            raise ValueError(
+                f"VMA {vma.tag!r} is a read-only file mapping; "
+                "writes are not modelled for file pages"
+            )
+        if len(pages) != len(tokens):
+            raise ValueError(
+                f"{len(pages)} pages but {len(tokens)} tokens"
+            )
+        if not pages:
+            return
+        if min(pages) < 0 or max(pages) >= vma.npages:
+            for page in pages:
+                vma.vpn_of(page)  # raises on the first index out of range
+        base = vma.start_vpn
+        table = self.page_table
+        translate = table.translate
+        # Owner records are never mutated in place, so the pages a batch
+        # faults in can share one.
+        owner = None
+        gfns: List[int] = []
+        try:
+            for page in pages:
+                vpn = base + page
+                gfn = translate(vpn)
+                if gfn is None:
+                    if owner is None:
+                        owner = PageOwner(
+                            OwnerKind.PROCESS_ANON, pid=self.pid, tag=vma.tag
+                        )
+                    gfn = self.kernel.alloc_gfn(owner)
+                    table.map(vpn, gfn)
+                gfns.append(gfn)
+        except OutOfGuestMemoryError:
+            # The pages before the failing one are written, as
+            # page-by-page writes would have left them.
+            self.kernel.vm.write_gfns(gfns, tokens[: len(gfns)])
+            raise
+        self.kernel.vm.write_gfns(gfns, tokens)
 
     def fault_file_pages(
         self, vma: Vma, start_page: int = 0, count: Optional[int] = None

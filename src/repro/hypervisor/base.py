@@ -14,7 +14,7 @@ handles either, exactly as the paper claims its methodology does.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 
 class GuestVmBase(abc.ABC):
@@ -26,6 +26,11 @@ class GuestVmBase(abc.ABC):
     @abc.abstractmethod
     def write_gfn(self, gfn: int, token: int) -> None:
         """Write content ``token`` into guest physical page ``gfn``."""
+
+    @abc.abstractmethod
+    def write_gfns(self, gfns: Sequence[int], tokens: Sequence[int]) -> None:
+        """Write ``tokens[i]`` into ``gfns[i]``: the bulk :meth:`write_gfn`,
+        with the same per-page effects in the same order."""
 
     def write_gfn_filebacked(self, gfn: int, token: int) -> None:
         """A page-cache fill from disk.

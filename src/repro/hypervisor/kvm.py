@@ -24,7 +24,7 @@ by the guest VM itself" and so do we (``vm_overhead_bytes``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.hypervisor.base import GuestVmBase, HypervisorHost
 from repro.ksm import create_scanner
@@ -170,9 +170,41 @@ class KvmGuestVm(GuestVmBase):
             store.access_page(self.page_table, vpn)
 
     def write_gfn(self, gfn: int, token: int) -> None:
-        vpn = self._host_vpn(gfn)
-        self._fault_in_compressed(vpn)
-        self.host.physmem.write_token(self.page_table, vpn, token)
+        """A one-gfn :meth:`write_gfns`."""
+        self.write_gfns((gfn,), (token,))
+
+    def write_gfns(self, gfns: Sequence[int], tokens: Sequence[int]) -> None:
+        """Write ``tokens[i]`` into guest page ``gfns[i]``, in order.
+
+        The batch is checked (one token per gfn, every gfn inside guest
+        memory) before the first write.  It goes to
+        :meth:`HostPhysicalMemory.write_tokens` in as few calls as
+        possible: a page sitting in the compressed pool splits it, so that
+        its restore (see :meth:`_fault_in_compressed`) happens right
+        before its own write, exactly where a one-page write would do it.
+        """
+        if len(gfns) != len(tokens):
+            raise ValueError(f"{len(gfns)} gfns but {len(tokens)} tokens")
+        if gfns and (min(gfns) < 0 or max(gfns) >= self._guest_npages):
+            for gfn in gfns:
+                self._host_vpn(gfn)  # raises on the first gfn out of range
+        offset = self._slot.host_base_vpn - self._slot.base_gfn
+        vpns = [offset + gfn for gfn in gfns]
+        table = self.page_table
+        physmem = self.host.physmem
+        store = self.host.compression
+        start = 0
+        if store is not None and store.pool_pages:
+            for index, vpn in enumerate(vpns):
+                if store.is_compressed(table, vpn):
+                    physmem.write_tokens(
+                        table, vpns[start:index], tokens[start:index]
+                    )
+                    store.access_page(table, vpn)
+                    start = index
+        if start:
+            vpns, tokens = vpns[start:], tokens[start:]
+        physmem.write_tokens(table, vpns, tokens)
 
     def write_gfn_filebacked(self, gfn: int, token: int) -> None:
         """Page-cache fill: goes through Satori when the host enables it."""
@@ -212,15 +244,17 @@ class KvmGuestVm(GuestVmBase):
         the paper's small "guest VM" bars in Fig. 2.
         """
         stream = self.rng.stream("qemu-overhead", self.name, tag)
-        npages = pages_for(num_bytes, self.host.page_size)
-        for _ in range(npages):
-            vpn = self._overhead_base_vpn + self._overhead_pages
-            token = stable_hash64(
-                "qemu", self.name, tag, self._overhead_pages,
-                stream.getrandbits(32),
-            )
-            self.host.physmem.write_token(self.page_table, vpn, token)
-            self._overhead_pages += 1
+        first = self._overhead_pages
+        pages = range(first, first + pages_for(num_bytes, self.host.page_size))
+        tokens = [
+            stable_hash64("qemu", self.name, tag, page, stream.getrandbits(32))
+            for page in pages
+        ]
+        base = self._overhead_base_vpn
+        self.host.physmem.write_tokens(
+            self.page_table, [base + page for page in pages], tokens
+        )
+        self._overhead_pages += len(pages)
 
     @property
     def vm_overhead_bytes(self) -> int:
@@ -293,14 +327,12 @@ class KvmHost(HypervisorHost):
         """Touch host-kernel memory (never a KSM candidate)."""
         stream = self.rng.stream("host-kernel")
         start = pages_for(self._host_kernel_bytes, self.page_size)
-        npages = pages_for(num_bytes, self.page_size)
-        for offset in range(npages):
-            token = stable_hash64(
-                "host-kernel", start + offset, stream.getrandbits(32)
-            )
-            self.physmem.write_token(
-                self._host_kernel_table, start + offset, token
-            )
+        vpns = range(start, start + pages_for(num_bytes, self.page_size))
+        tokens = [
+            stable_hash64("host-kernel", vpn, stream.getrandbits(32))
+            for vpn in vpns
+        ]
+        self.physmem.write_tokens(self._host_kernel_table, vpns, tokens)
         self._host_kernel_bytes += num_bytes
 
     @property

@@ -23,7 +23,7 @@ finishing page sharing", not the time axis).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hypervisor.base import GuestVmBase, HypervisorHost
 from repro.mem.address_space import PageTable
@@ -63,8 +63,14 @@ class PowerVmGuest(GuestVmBase):
             )
 
     def write_gfn(self, gfn: int, token: int) -> None:
-        self._check_gfn(gfn)
-        self.host.physmem.write_token(self.page_table, gfn, token)
+        """A one-gfn :meth:`write_gfns`."""
+        self.write_gfns((gfn,), (token,))
+
+    def write_gfns(self, gfns: Sequence[int], tokens: Sequence[int]) -> None:
+        """Write ``tokens[i]`` into guest page ``gfns[i]``, in order."""
+        for gfn in gfns:
+            self._check_gfn(gfn)
+        self.host.physmem.write_tokens(self.page_table, gfns, tokens)
 
     def read_gfn(self, gfn: int) -> Optional[int]:
         self._check_gfn(gfn)

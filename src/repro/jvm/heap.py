@@ -24,7 +24,7 @@ from typing import List
 
 from repro.guestos.process import GuestProcess, Vma
 from repro.mem.content import ZERO_TOKEN
-from repro.sim.rng import stable_hash64
+from repro.sim.rng import encode_parts, stable_hash64_column
 
 TAG_HEAP = "java:heap"
 
@@ -51,8 +51,9 @@ class HeapArea:
         self.vma: Vma = process.mmap_anon(size_bytes, tag)
         self.npages = self.vma.npages
         self._state: List[int] = [UNTOUCHED] * self.npages
-        self._vm_name = process.kernel.vm.name
-        self._pid = process.pid
+        self._prefix = encode_parts(
+            "heap", process.kernel.vm.name, process.pid, area_name
+        )
         self._live_count = 0
         self._zero_count = 0
 
@@ -60,21 +61,24 @@ class HeapArea:
     # Page writes
     # ------------------------------------------------------------------
 
-    def _live_token(self, page: int, epoch: int) -> int:
+    def _write_live_pages(self, pages: List[int], epoch: int) -> None:
+        """Write live content at ``epoch`` to ``pages`` in one batch."""
         # Heap content is process-unique: object graphs, addresses and
-        # headers never coincide between two JVM processes.
-        return stable_hash64(
-            "heap", self._vm_name, self._pid, self.area_name, page, epoch
-        )
+        # headers never coincide between two JVM processes.  A token is
+        # stable_hash64("heap", vm, pid, area, page, epoch).
+        tokens = stable_hash64_column(self._prefix, pages, encode_parts(epoch))
+        self.process.write_pages(self.vma, pages, tokens)
+        state = self._state
+        for page in pages:
+            previous = state[page]
+            if previous < 0:
+                self._live_count += 1
+                if previous == ZEROED:
+                    self._zero_count -= 1
+            state[page] = epoch
 
     def write_live(self, page: int, epoch: int) -> None:
-        previous = self._state[page]
-        if previous == ZEROED:
-            self._zero_count -= 1
-        if previous < 0:
-            self._live_count += 1
-        self._state[page] = epoch
-        self.process.write_token(self.vma, page, self._live_token(page, epoch))
+        self._write_live_pages([page], epoch)
 
     def write_zero(self, page: int) -> None:
         previous = self._state[page]
@@ -87,8 +91,9 @@ class HeapArea:
         self.process.write_token(self.vma, page, ZERO_TOKEN)
 
     def fill_live(self, first_page: int, count: int, epoch: int) -> None:
-        for page in range(first_page, first_page + count):
-            self.write_live(page, epoch)
+        self._write_live_pages(
+            list(range(first_page, first_page + count)), epoch
+        )
 
     # ------------------------------------------------------------------
     # Bulk operations used by the GC policies
@@ -96,27 +101,24 @@ class HeapArea:
 
     def rewrite_live(self, epoch: int) -> int:
         """Re-tokenise every live page (object movement under compaction)."""
-        moved = 0
-        for page, state in enumerate(self._state):
-            if state >= 0:
-                self.write_live(page, epoch)
-                moved += 1
-        return moved
+        pages = [page for page, state in enumerate(self._state) if state >= 0]
+        self._write_live_pages(pages, epoch)
+        return len(pages)
 
     def dirty_fraction(self, fraction: float, epoch: int) -> int:
         """Dirty a deterministic sample of live pages (headers, stores)."""
         if fraction <= 0:
             return 0
         threshold = int(fraction * (1 << 32))
-        dirtied = 0
-        for page, state in enumerate(self._state):
-            if state < 0:
-                continue
-            sample = ((page * _MIX) ^ (epoch * 0x9E3779B9)) & 0xFFFFFFFF
-            if sample < threshold:
-                self.write_live(page, epoch)
-                dirtied += 1
-        return dirtied
+        salt = epoch * 0x9E3779B9
+        pages = [
+            page
+            for page, state in enumerate(self._state)
+            if state >= 0
+            and (((page * _MIX) ^ salt) & 0xFFFFFFFF) < threshold
+        ]
+        self._write_live_pages(pages, epoch)
+        return len(pages)
 
     def zero_tail(self, num_pages: int) -> int:
         """Zero-fill the top ``num_pages`` of the touched range (post-GC)."""
@@ -131,14 +133,15 @@ class HeapArea:
 
     def allocate_from_zeros(self, num_pages: int, epoch: int) -> int:
         """Reuse zeroed pages for fresh allocation (TLAB refills)."""
-        allocated = 0
-        for page, state in enumerate(self._state):
-            if allocated >= num_pages:
-                break
-            if state == ZEROED:
-                self.write_live(page, epoch)
-                allocated += 1
-        return allocated
+        pages: List[int] = []
+        if num_pages > 0:
+            for page, state in enumerate(self._state):
+                if state == ZEROED:
+                    pages.append(page)
+                    if len(pages) >= num_pages:
+                        break
+        self._write_live_pages(pages, epoch)
+        return len(pages)
 
     # ------------------------------------------------------------------
     # Introspection

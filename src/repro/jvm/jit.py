@@ -17,7 +17,12 @@ from typing import List
 
 from repro.guestos.process import GuestProcess, Vma
 from repro.mem.region import Region
-from repro.sim.rng import RngFactory, stable_hash64
+from repro.sim.rng import (
+    RngFactory,
+    encode_parts,
+    stable_hash64,
+    stable_hash64_column,
+)
 from repro.units import KiB, MiB, align_up, pages_for
 
 TAG_CODE = "java:jit-code"
@@ -59,6 +64,7 @@ class JitCompiler:
         self.work_vma = process.mmap_anon(work_bytes, TAG_WORK)
         self._work_pages = pages_for(work_bytes, process.page_size)
         self._work_epoch = 0
+        self._work_prefix = encode_parts("jitwork", vm_name, process.pid)
 
     # ------------------------------------------------------------------
     # Compilation
@@ -125,11 +131,13 @@ class JitCompiler:
         """Scratch allocations for in-flight compilations: every page is
         rewritten, so the area never stabilises while the JIT is active."""
         self._work_epoch += 1
-        for page in range(self._work_pages):
-            token = stable_hash64(
-                "jitwork", self._vm_name, self._pid, page, self._work_epoch
-            )
-            self.process.write_token(self.work_vma, page, token)
+        # A token is stable_hash64("jitwork", vm, pid, page, epoch).
+        tokens = stable_hash64_column(
+            self._work_prefix,
+            range(self._work_pages),
+            encode_parts(self._work_epoch),
+        )
+        self.process.write_tokens(self.work_vma, tokens)
 
     # ------------------------------------------------------------------
 

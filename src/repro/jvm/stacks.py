@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.guestos.process import GuestProcess, Vma
-from repro.sim.rng import RngFactory, stable_hash64
+from repro.sim.rng import RngFactory, encode_parts, stable_hash64_column
 
 
 TAG_STACK = "java:stack"
@@ -50,14 +50,16 @@ class ThreadStacks:
         self._write(epoch=self._epoch, fraction=self.active_fraction)
 
     def _write(self, epoch: int, fraction: float) -> None:
+        suffix = encode_parts(epoch)
         for thread_index, vma in enumerate(self.stacks):
             depth = max(1, int(vma.npages * fraction))
-            for page in range(depth):
-                token = stable_hash64(
-                    "stack", self._vm_name, self._pid,
-                    thread_index, page, epoch,
-                )
-                self.process.write_token(vma, page, token)
+            # A token is stable_hash64("stack", vm, pid, thread, page, epoch).
+            prefix = encode_parts(
+                "stack", self._vm_name, self._pid, thread_index
+            )
+            self.process.write_tokens(
+                vma, stable_hash64_column(prefix, range(depth), suffix)
+            )
 
     def resident_bytes(self) -> int:
         return sum(

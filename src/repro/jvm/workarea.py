@@ -17,9 +17,11 @@ Everything else is process-private read-write data.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.guestos.process import GuestProcess
 from repro.mem.content import ZERO_TOKEN
-from repro.sim.rng import RngFactory, stable_hash64
+from repro.sim.rng import RngFactory, encode_parts, stable_hash64_column
 
 TAG_NIO = "java:jvm-work:nio"
 TAG_SLACK = "java:jvm-work:slack"
@@ -41,9 +43,9 @@ class JvmWorkArea:
     ) -> None:
         self.process = process
         self.benchmark_id = benchmark_id
-        self._vm_name = process.kernel.vm.name
-        self._pid = process.pid
-        self._stream = rng.stream("jvmwork", self._vm_name, process.pid)
+        vm_name = process.kernel.vm.name
+        self._stream = rng.stream("jvmwork", vm_name, process.pid)
+        self._prefix = encode_parts("jvmwork", vm_name, process.pid)
         self.churn_fraction = churn_fraction
         self.nio_vma = process.mmap_anon(nio_bytes, TAG_NIO)
         self.slack_vma = process.mmap_anon(zero_slack_bytes, TAG_SLACK)
@@ -55,26 +57,25 @@ class JvmWorkArea:
         """Touch the work area once the server is warm."""
         if self._initialized:
             raise RuntimeError("work area already initialised")
-        page_size = self.process.page_size
         # NIO buffers: content derives only from the benchmark's request
         # stream, so it is identical in every VM driving the same scenario.
-        for page in range(self.nio_vma.npages):
-            token = stable_hash64("nio", self.benchmark_id, page)
-            self.process.write_token(self.nio_vma, page, token)
+        nio_prefix = encode_parts("nio", self.benchmark_id)
+        self.process.write_tokens(
+            self.nio_vma,
+            stable_hash64_column(nio_prefix, range(self.nio_vma.npages)),
+        )
         # Arena slack and bulk-allocated-but-unused structures: zeros.
-        for page in range(self.slack_vma.npages):
-            self.process.write_token(self.slack_vma, page, ZERO_TOKEN)
+        self.process.write_tokens(
+            self.slack_vma, [ZERO_TOKEN] * self.slack_vma.npages
+        )
         # Private read-write structures.
-        for page in range(self.private_vma.npages):
-            self.process.write_token(
-                self.private_vma, page, self._private_token(page, 0)
-            )
+        self._write_private(range(self.private_vma.npages), 0)
         self._initialized = True
 
-    def _private_token(self, page: int, epoch: int) -> int:
-        return stable_hash64(
-            "jvmwork", self._vm_name, self._pid, page, epoch
-        )
+    def _write_private(self, pages: Sequence[int], epoch: int) -> None:
+        # A token is stable_hash64("jvmwork", vm, pid, page, epoch).
+        tokens = stable_hash64_column(self._prefix, pages, encode_parts(epoch))
+        self.process.write_pages(self.private_vma, pages, tokens)
 
     def tick(self) -> None:
         """Per-interval churn of the private read-write portion."""
@@ -84,11 +85,9 @@ class JvmWorkArea:
         step = max(1, int(1 / self.churn_fraction)) if self.churn_fraction else 0
         if step:
             offset = self._epoch % step
-            for page in range(offset, self.private_vma.npages, step):
-                self.process.write_token(
-                    self.private_vma, page,
-                    self._private_token(page, self._epoch),
-                )
+            self._write_private(
+                range(offset, self.private_vma.npages, step), self._epoch
+            )
 
     def resident_bytes(self) -> int:
         pages = (

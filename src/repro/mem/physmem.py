@@ -16,7 +16,7 @@ in :mod:`repro.perf` can compute the penalty.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.mem.address_space import PageTable
 from repro.mem.content import ZERO_TOKEN
@@ -395,33 +395,53 @@ class HostPhysicalMemory:
         return self.get_frame(fid).token
 
     def write_token(self, table: PageTable, vpn: int, token: int) -> int:
-        """Write ``token`` at ``vpn``, breaking copy-on-write as needed.
+        """Write ``token`` at ``vpn``; returns the frame id now backing it.
 
-        Returns the frame id now backing the page.  A write to a shared or
-        KSM-stable frame allocates a private copy (the COW break KSM relies
-        on); a write to an exclusively owned, non-stable frame mutates the
-        frame in place.
-
-        Both paths log the vpn into the table's dirty log — the in-place
-        store plays the role of a PML write notification, the COW break
-        that of the write-protect fault on a merged frame.
+        A one-page :meth:`write_tokens`.
         """
-        fid = table.translate(vpn)
-        if fid is None:
-            return self.map_token(table, vpn, token)
-        frame = self.get_frame(fid)
-        if frame.refcount == 1 and not frame.ksm_stable:
-            frame.token = token
-            if self._mirror is not None:
-                self._mirror.note_token(fid, token)
-            table.log_dirty(vpn)
-            return fid
-        self._cow_breaks += 1
-        self.dec_ref(fid)
-        new_fid = self.alloc(token)
-        table.remap(vpn, new_fid)
-        table.log_dirty(vpn)
-        return new_fid
+        self.write_tokens(table, (vpn,), (token,))
+        return table.translate(vpn)
+
+    def write_tokens(
+        self, table: PageTable, vpns: Sequence[int], tokens: Sequence[int]
+    ) -> None:
+        """Write ``tokens[i]`` at ``vpns[i]``, in order, breaking
+        copy-on-write as needed.
+
+        An unmapped vpn gets a fresh frame (:meth:`map_token`).  A write
+        to a shared or KSM-stable frame allocates a private copy (the COW
+        break KSM relies on); a write to an exclusively owned, non-stable
+        frame mutates the frame in place.  Every page is handled exactly
+        as a sequence of one-page writes would handle it — same fids,
+        same dirty-log and sink order — only without the per-page call
+        overhead.
+
+        Both the store and the break log the vpn into the table's dirty
+        log — the in-place store plays the role of a PML write
+        notification, the COW break that of the write-protect fault on a
+        merged frame.
+        """
+        if len(vpns) != len(tokens):
+            raise ValueError(f"{len(vpns)} vpns but {len(tokens)} tokens")
+        translate = table.translate
+        log_dirty = table.log_dirty
+        frames = self._frames
+        mirror = self._mirror
+        for vpn, token in zip(vpns, tokens):
+            fid = translate(vpn)
+            if fid is None:
+                self.map_token(table, vpn, token)
+                continue
+            frame = frames[fid]
+            if frame.refcount == 1 and not frame.ksm_stable:
+                frame.token = token
+                if mirror is not None:
+                    mirror.note_token(fid, token)
+            else:
+                self._cow_breaks += 1
+                self.dec_ref(fid)
+                table.remap(vpn, self.alloc(token))
+            log_dirty(vpn)
 
     def unmap(self, table: PageTable, vpn: int) -> None:
         """Remove the mapping at ``vpn`` and drop its frame reference."""

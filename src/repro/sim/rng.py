@@ -15,9 +15,9 @@ Two rules keep the simulation deterministic:
 
 from __future__ import annotations
 
-import hashlib
 import random
-from typing import Tuple, Union
+from hashlib import blake2b as _blake2b
+from typing import Iterable, List, Tuple, Union
 
 _HashablePart = Union[str, int, bytes, float]
 
@@ -37,19 +37,73 @@ def _encode_part(part: _HashablePart) -> bytes:
     raise TypeError(f"unhashable content part of type {type(part).__name__}")
 
 
+def _append_parts(buf: bytearray, parts) -> None:
+    """Append the length-prefixed, type-tagged encoding of ``parts``.
+
+    Exact ``int`` and ``str`` — nearly every part the simulator hashes —
+    are encoded inline; ``bytes``, ``bool``, ``float`` and subclasses
+    (``IntEnum`` members) go through :func:`_encode_part`.  Both routes
+    produce the same bytes.
+    """
+    for part in parts:
+        kind = type(part)
+        if kind is int:
+            encoded = b"i%d" % part
+        elif kind is str:
+            encoded = b"s" + part.encode()
+        else:
+            encoded = _encode_part(part)
+        buf += len(encoded).to_bytes(4, "little")
+        buf += encoded
+
+
 def stable_hash64(*parts: _HashablePart) -> int:
     """A process-stable 64-bit hash of the given parts.
 
-    The result is guaranteed non-zero so that callers may reserve 0 as a
-    sentinel (the all-zero page token).
+    The digest input is, per part, a 4-byte little-endian length followed
+    by the part's tagged encoding (:func:`_encode_part`); the result is
+    the 8-byte BLAKE2b digest read little-endian.  It is guaranteed
+    non-zero so that callers may reserve 0 as a sentinel (the all-zero
+    page token).
     """
-    hasher = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        encoded = _encode_part(part)
-        hasher.update(len(encoded).to_bytes(4, "little"))
-        hasher.update(encoded)
-    value = int.from_bytes(hasher.digest(), "little")
-    return value or 1
+    buf = bytearray()
+    _append_parts(buf, parts)
+    return int.from_bytes(_blake2b(buf, digest_size=8).digest(), "little") or 1
+
+
+def encode_parts(*parts: _HashablePart) -> bytes:
+    """The digest input :func:`stable_hash64` builds for ``parts``.
+
+    Encodings concatenate, so a constant prefix (or suffix) of a family
+    of hashes can be encoded once and handed to
+    :func:`stable_hash64_column`.
+    """
+    buf = bytearray()
+    _append_parts(buf, parts)
+    return bytes(buf)
+
+
+def stable_hash64_column(
+    prefix: bytes, column: Iterable[int], suffix: bytes = b""
+) -> List[int]:
+    """``stable_hash64(*P, x, *S)`` for every ``x`` in ``column``.
+
+    ``prefix`` and ``suffix`` are :func:`encode_parts` of the constant
+    parts ``P`` and ``S``; only the varying part is encoded per element,
+    so the cost per token is one digest.  ``column`` must hold exact
+    ``int`` values (page indices), never ``bool``.
+    """
+    frombytes = int.from_bytes
+    tokens: List[int] = []
+    append = tokens.append
+    for value in column:
+        encoded = b"i%d" % value
+        digest = _blake2b(
+            prefix + len(encoded).to_bytes(4, "little") + encoded + suffix,
+            digest_size=8,
+        ).digest()
+        append(frombytes(digest, "little") or 1)
+    return tokens
 
 
 class RngFactory:

@@ -115,6 +115,11 @@ _OPTION_ARGS = {
     "--cache-dir": "--cache-dir=cache",
 }
 
+#: Required positionals, so that only the option can be the usage error.
+_POSITIONALS = {
+    command: ("daytrader4",) for command in ("scenario", "profile", "doctor")
+}
+
 #: (subcommand, option) pairs whose handler never reads the option.
 _IGNORED = (
     [
@@ -140,6 +145,17 @@ _IGNORED = (
         )
     ]
     + [
+        (command, "--jobs")
+        for command in (
+            "fig2", "fig3a", "fig3b", "fig3c", "fig4", "fig5a", "fig5b",
+            "fig5c", "scenario", "profile", "doctor",
+        )
+    ]
+    + [
+        ("doctor", option)
+        for option in ("--profile", "--no-cache", "--cache-dir")
+    ]
+    + [
         ("fig6", option)
         for option in (
             "--ticks", "--scan-policy", "--scan-engine", "--tiering",
@@ -161,7 +177,9 @@ class TestOptionGroups:
         from repro.cli import _build_parser
 
         with pytest.raises(SystemExit) as excinfo:
-            _build_parser().parse_args([command, _OPTION_ARGS[option]])
+            _build_parser().parse_args(
+                [command, *_POSITIONALS.get(command, ()), _OPTION_ARGS[option]]
+            )
         assert excinfo.value.code == 2
         assert option in capsys.readouterr().err
 

@@ -138,16 +138,6 @@ _OPTION_GROUPS = {
                 "working-set-hot ranges; KSM splits huge blocks on merge"
             ),
         )),
-        ("--backend", dict(
-            choices=["dict", "columnar", "columnar-numpy", "columnar-stdlib"],
-            default=None,
-            help=(
-                "dump-analysis pipeline: 'dict' per-page walk (default), "
-                "'columnar' vectorized arrays (numpy when available, "
-                "stdlib fallback otherwise), or an explicitly pinned "
-                "columnar implementation; $REPRO_BACKEND sets the default"
-            ),
-        )),
     ),
     "profile": (
         ("--profile", dict(

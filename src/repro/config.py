@@ -193,9 +193,9 @@ class HugePageSettings:
 class ScenarioSpec:
     """One fully-specified scenario run (the unified experiment API).
 
-    Composes every scenario knob — KSM settings, tiering, huge pages,
-    the accounting backend, fault plan and parallelism — into a single
-    frozen value that fingerprints itself for the result cache.
+    Composes every scenario knob — KSM settings, tiering, huge pages
+    and fault plan — into a single frozen value that fingerprints
+    itself for the result cache.
 
     Construction paths:
 
@@ -210,8 +210,7 @@ class ScenarioSpec:
     express (huge pages off, default KSM pacing, default tiering
     shape), :meth:`cache_parts` reproduces that API's parts exactly, so
     fingerprints — and therefore every previously cached result — are
-    unchanged.  ``jobs`` never enters the fingerprint (parallel runs
-    are bit-identical to serial).
+    unchanged.
     """
 
     scenario: str
@@ -225,12 +224,19 @@ class ScenarioSpec:
     ksm: KsmSettings = field(default_factory=KsmSettings)
     tiering: TieringSettings = field(default_factory=TieringSettings)
     hugepages: HugePageSettings = field(default_factory=HugePageSettings)
-    backend: str = "dict"
+    #: Retired: accounting always runs the columnar pipeline.  Kept
+    #: (and validated) only because existing callers still pass it;
+    #: nothing reads it.
+    backend: str = "columnar"
     #: A ``repro.faults.plan.FaultPlan`` or None (untyped: see above).
     faults: Optional[object] = None
-    #: Worker processes for fan-out inside the run (None = serial);
-    #: excluded from the fingerprint.
-    jobs: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.backend != "columnar":
+            raise ValueError(
+                f"unknown backend {self.backend!r}: accounting always "
+                "runs the columnar pipeline"
+            )
 
     @property
     def resolved_deployment(self):
@@ -253,7 +259,6 @@ class ScenarioSpec:
         subcommands hard-code both); missing attributes fall back to
         their defaults so partially-wired parsers keep working.
         """
-        from repro.core.columnar.backend import resolve_backend
         from repro.faults.plan import FaultPlan
 
         get = lambda name, default=None: getattr(args, name, default)
@@ -281,9 +286,7 @@ class ScenarioSpec:
                 policy=get("thp_policy") or "never",
                 block_pages=get("hugepages") or 512,
             ),
-            backend=resolve_backend(get("backend")),
             faults=faults,
-            jobs=get("jobs"),
         )
 
     def cache_parts(self) -> tuple:
@@ -292,8 +295,7 @@ class ScenarioSpec:
         Specs the pre-spec API could express (huge pages off, default
         KSM pacing, default tiering shape) emit that API's parts (see
         :func:`_legacy_cache_parts`), so existing cache entries stay
-        valid; anything new fingerprints the spec itself (minus
-        ``jobs``).
+        valid; anything new fingerprints the spec itself.
         """
         legacy = (
             not self.hugepages.enabled
@@ -306,9 +308,7 @@ class ScenarioSpec:
         )
         if legacy:
             return _legacy_cache_parts(self)
-        normalized = replace(
-            self, deployment=self.resolved_deployment, jobs=None
-        )
+        normalized = replace(self, deployment=self.resolved_deployment)
         return ("scenario-spec", normalized)
 
     def to_fingerprint(self) -> str:
@@ -326,6 +326,9 @@ def _legacy_cache_parts(spec: ScenarioSpec) -> tuple:
     rebuilds the canonical form of ``("scenario-run",
     ScenarioRequest(...))`` byte for byte, fields in their historical
     order.  Results cached through that API therefore keep hitting.
+    The retired ``backend`` field is emitted as its frozen historical
+    default ``"dict"``: dict-era entries hold the same owner accounting
+    the columnar pipeline computes.
     """
     from repro.exec.fingerprint import canonical
 
@@ -339,7 +342,7 @@ def _legacy_cache_parts(spec: ScenarioSpec) -> tuple:
         ("scan_engine", spec.ksm.scan_engine),
         ("faults", spec.faults),
         ("tiering", spec.tiering.mode),
-        ("backend", spec.backend),
+        ("backend", "dict"),
     )
     return (
         "scenario-run",

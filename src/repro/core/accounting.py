@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.categories import MemoryCategory, categorize_tag
-from repro.core.columnar.backend import (
-    BACKEND_DICT,
-    merge_intervals,
-    point_in_intervals,
-    resolve_backend,
-)
+from repro.core.columnar.backend import merge_intervals, point_in_intervals
 from repro.core.dump import SystemDump
 from repro.core.translate import (
     iter_process_frames,
@@ -244,7 +239,6 @@ def _owner_sort_key(mapping: Mapping) -> Tuple:
 def owner_oriented_accounting(
     dump: SystemDump,
     usage: Optional[FrameUsage] = None,
-    backend: Optional[str] = None,
 ) -> OwnerAccounting:
     """The paper's accounting: one owner per frame, the rest share free.
 
@@ -254,22 +248,17 @@ def owner_oriented_accounting(
     *shared* tally.  Summed over all users, ``usage`` equals backed
     physical memory and ``usage + shared`` equals mapped guest memory.
 
-    ``backend`` selects the pipeline (``None`` reads ``$REPRO_BACKEND``,
-    defaulting to the historical dict walk): any columnar backend runs
-    :func:`repro.core.columnar.owner_accounting_columnar` — same
-    tallies, flat arrays instead of per-page ``Mapping`` lists.  A
-    pre-built ``usage`` table always takes the dict aggregation (the
-    columnar path never materializes one).
+    Without ``usage`` this runs
+    :func:`repro.core.columnar.owner_accounting_columnar` — flat arrays
+    instead of per-page ``Mapping`` lists.  A pre-built ``usage`` table
+    (:func:`build_frame_usage`) takes the dict aggregation instead: the
+    reference the columnar pipeline is tested against, with the same
+    tallies.
     """
     if usage is None:
-        resolved = resolve_backend(backend)
-        if resolved != BACKEND_DICT:
-            from repro.core.columnar.pipeline import (
-                owner_accounting_columnar,
-            )
+        from repro.core.columnar.pipeline import owner_accounting_columnar
 
-            return owner_accounting_columnar(dump, backend=resolved)
-        usage = build_frame_usage(dump)
+        return owner_accounting_columnar(dump)
     result = OwnerAccounting(page_size=dump.host.page_size)
     page = dump.host.page_size
     for fid, mappings in usage.items():
@@ -299,25 +288,19 @@ class PssAccounting:
 def distribution_oriented_accounting(
     dump: SystemDump,
     usage: Optional[FrameUsage] = None,
-    backend: Optional[str] = None,
 ) -> PssAccounting:
     """Linux-PSS-style accounting: each sharer pays 1/n of the frame.
 
-    ``backend`` as in :func:`owner_oriented_accounting`.  Columnar
+    ``usage`` as in :func:`owner_oriented_accounting`.  Columnar
     ``rss`` tallies are bit-identical; ``pss`` floats can differ from
-    the dict path by summation order (a few ULP).
+    the dict aggregation by summation order (a few ULP).
     """
     if usage is None:
-        resolved = resolve_backend(backend)
-        if resolved != BACKEND_DICT:
-            from repro.core.columnar.pipeline import (
-                distribution_accounting_columnar,
-            )
+        from repro.core.columnar.pipeline import (
+            distribution_accounting_columnar,
+        )
 
-            return distribution_accounting_columnar(
-                dump, backend=resolved
-            )
-        usage = build_frame_usage(dump)
+        return distribution_accounting_columnar(dump)
     result = PssAccounting(page_size=dump.host.page_size)
     page = dump.host.page_size
     for fid, mappings in usage.items():

@@ -120,7 +120,8 @@ class VmBreakdown:
 
         Two breakdowns render to the same string iff every
         figure-visible quantity matches — this is what the equivalence
-        suite compares across analysis backends.
+        suite compares between the columnar pipeline and the dict
+        oracle.
         """
         return json.dumps(self.as_dict(), sort_keys=True,
                           separators=(",", ":"))

@@ -37,7 +37,7 @@ from repro.core.accounting import (
 )
 from repro.core.dump import SystemDump
 
-from .backend import MISS, ops_for, resolve_backend
+from .backend import MISS, NumpyOps
 from .lower import (
     GuestTables,
     ProcessTables,
@@ -257,11 +257,9 @@ class StreamingOwnerAccumulator:
         return result
 
 
-def owner_accounting_columnar(
-    dump: SystemDump, backend: Optional[str] = None
-) -> OwnerAccounting:
+def owner_accounting_columnar(dump: SystemDump) -> OwnerAccounting:
     """Owner-oriented accounting on the columnar pipeline (batch)."""
-    ops = ops_for(resolve_backend(backend or "columnar"))
+    ops = NumpyOps()
     registry = build_registry(dump)
     accumulator = StreamingOwnerAccumulator(
         ops, registry, dump.host.page_size
@@ -272,9 +270,7 @@ def owner_accounting_columnar(
 
 
 def stream_owner_accounting(
-    dump: SystemDump,
-    backend: Optional[str] = None,
-    compact_rows: int = DEFAULT_COMPACT_ROWS,
+    dump: SystemDump, compact_rows: int = DEFAULT_COMPACT_ROWS
 ) -> OwnerAccounting:
     """Owner-oriented accounting in streaming mode.
 
@@ -283,7 +279,7 @@ def stream_owner_accounting(
     resident rows stay around ``max(compact_rows, distinct frames)``
     instead of the full mapping count.
     """
-    ops = ops_for(resolve_backend(backend or "columnar"))
+    ops = NumpyOps()
     registry = build_registry(dump)
     accumulator = StreamingOwnerAccumulator(
         ops, registry, dump.host.page_size, compact_rows=compact_rows
@@ -293,15 +289,13 @@ def stream_owner_accounting(
     return accumulator.finish()
 
 
-def distribution_accounting_columnar(
-    dump: SystemDump, backend: Optional[str] = None
-) -> PssAccounting:
+def distribution_accounting_columnar(dump: SystemDump) -> PssAccounting:
     """PSS accounting as a group-by-fid size count.
 
     Integer ``rss`` tallies are bit-identical to the dict pipeline;
     ``pss`` floats may differ by summation order (within a few ULP).
     """
-    ops = ops_for(resolve_backend(backend or "columnar"))
+    ops = NumpyOps()
     registry = build_registry(dump)
     chunks = list(iter_mapping_chunks(ops, dump, registry))
     if chunks:

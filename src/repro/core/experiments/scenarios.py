@@ -98,7 +98,6 @@ def run(spec: ScenarioSpec, profiler=None) -> ScenarioResult:
         spec.scale,
         deployment=deployment,
         seed=spec.seed,
-        backend=spec.backend,
         ksm=spec.ksm,
         tiering=spec.tiering if spec.tiering.mode != "off" else None,
         hugepages=spec.hugepages if spec.hugepages.enabled else None,

@@ -89,10 +89,6 @@ class TestbedConfig:
     #: The pressure-scenario family disables KSM on its non-TPS arms so
     #: compression and ballooning compete without sharing in the mix.
     ksm_enabled: bool = True
-    #: Dump-analysis pipeline: "dict" (historical per-page walk),
-    #: "columnar" (fastest available), "columnar-numpy",
-    #: "columnar-stdlib".  All produce identical breakdowns.
-    backend: str = "dict"
     #: Transparent-huge-page policy; None (or policy "never") keeps
     #: every mapping at 4 KiB, the paper's configuration.
     hugepages: Optional[HugePageSettings] = None
@@ -398,9 +394,7 @@ class KvmTestbed:
                 self.host, self.kernels, faults=faults
             )
         with self._phase("accounting"):
-            accounting = owner_oriented_accounting(
-                dump, backend=self.config.backend
-            )
+            accounting = owner_oriented_accounting(dump)
             validation = None
             if faults is not None:
                 validation = validate_dump(dump)

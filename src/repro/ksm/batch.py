@@ -33,7 +33,7 @@ examination, and the examined-at-segment-start snapshot of
    no mapping moves between passes — re-translates nothing; frame
    state and token columns come from the
    :class:`repro.mem.physmem.FrameMirror` (zero-copy numpy views over
-   its ``array('Q')``/``bytearray`` storage on the numpy backend).
+   its ``array('Q')``/``bytearray`` storage).
    Unmapped and already-stable pages drop out in one vectorized mask —
    the steady-state hot path, where almost every page is merged;
 2. **groups** the survivors by content token with the shared
@@ -51,7 +51,7 @@ examination, and the examined-at-segment-start snapshot of
    object engine's state machine, in segment order.
 
 Tokens are full unsigned 64-bit hashes (and tests may feed arbitrary
-ints), so the numpy path groups by the mirror's *masked* uint64 key
+ints), so the gather groups by the mirror's *masked* uint64 key
 column while all semantic operations use the exact Python tokens; a
 masked collision can only route a group to the slow per-row path, never
 change a result.
@@ -61,12 +61,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.columnar.backend import (
-    BACKEND_NUMPY,
-    BACKEND_STDLIB,
-    ops_for,
-    resolve_backend,
-)
+from repro.core.columnar.backend import NumpyOps
 from repro.ksm.index import STABLE
 from repro.ksm.scanner import KsmConfig, KsmScanner, ScanPolicy
 from repro.mem.address_space import PageTable
@@ -85,17 +80,10 @@ class BatchKsmScanner(KsmScanner):
         physmem: HostPhysicalMemory,
         clock: SimClock,
         config: Optional[KsmConfig] = None,
-        columnar_backend: Optional[str] = None,
     ) -> None:
         super().__init__(physmem, clock, config)
-        backend = resolve_backend(columnar_backend or "columnar")
-        if backend not in (BACKEND_NUMPY, BACKEND_STDLIB):
-            raise ValueError(
-                f"batch scan engine needs a columnar backend, got {backend!r}"
-            )
-        self.columnar_backend = backend
-        self._ops = ops_for(backend)
-        self._np = self._ops.np if self._ops.is_numpy else None
+        self._ops = NumpyOps()
+        self._np = self._ops.np
         self._mirror = physmem.attach_frame_mirror()
         # Columnar worklist state: per-table persistent caches for the
         # (version-cached) full worklists, and the columns of whatever
@@ -205,11 +193,7 @@ class BatchKsmScanner(KsmScanner):
         np = self._np
         return {
             "vpns": vpns,
-            "vpn_arr": (
-                np.fromiter(vpns, np.int64, len(vpns))
-                if np is not None
-                else None
-            ),
+            "vpn_arr": np.fromiter(vpns, np.int64, len(vpns)),
             "fids": None,
             "fid_arr": None,
             "fkey": None,
@@ -222,25 +206,21 @@ class BatchKsmScanner(KsmScanner):
         if cur["fids"] is None or cur["fkey"] != fkey:
             fids = table.translate_many(cur["vpns"])
             cur["fids"] = fids
-            if self._np is not None:
-                cur["fid_arr"] = self._np.fromiter(
-                    fids, self._np.int64, len(fids)
-                )
+            cur["fid_arr"] = self._np.fromiter(
+                fids, self._np.int64, len(fids)
+            )
             cur["fkey"] = fkey
         return cur
 
     # ------------------------------------------------------------------
-    # Stage A/B: gather + group (backend-specific)
+    # Stage A/B: gather + group
     # ------------------------------------------------------------------
 
     def _examine_segment(
         self, table: PageTable, start: int, stop: int
     ) -> None:
         cur = self._segment_fids(table, self._cur)
-        if self._np is not None:
-            gathered = self._gather_numpy(cur, start, stop)
-        else:
-            gathered = self._gather_stdlib(cur, start, stop)
+        gathered = self._gather_numpy(cur, start, stop)
         if gathered is not None:
             self._process_groups(table, *gathered)
 
@@ -292,47 +272,6 @@ class BatchKsmScanner(KsmScanner):
                     ]
                 )
             i += size
-        return sv, sf, st, multis
-
-    def _gather_stdlib(self, cur: dict, start: int, stop: int):
-        mirror = self._mirror
-        states = mirror.states
-        tokens = mirror.tokens
-        active = FrameMirror.ACTIVE
-        # Group by exact token via one fused pass; a group stays a tuple
-        # until a second member upgrades it to a row list (in segment
-        # order, like the stable argsort on the numpy path).
-        groups: dict = {}
-        get = groups.get
-        for vpn, fid in zip(
-            cur["vpns"][start:stop], cur["fids"][start:stop]
-        ):
-            if fid < 0 or states[fid] != active:
-                continue
-            token = tokens[fid]
-            prev = get(token)
-            if prev is None:
-                groups[token] = (vpn, fid)
-            elif type(prev) is tuple:
-                groups[token] = [
-                    (prev[0], prev[1], token),
-                    (vpn, fid, token),
-                ]
-            else:
-                prev.append((vpn, fid, token))
-        if not groups:
-            return None
-        sv: List[int] = []
-        sf: List[int] = []
-        st: List[int] = []
-        multis: List[List[Row]] = []
-        for token, group in groups.items():
-            if type(group) is tuple:
-                sv.append(group[0])
-                sf.append(group[1])
-                st.append(token)
-            else:
-                multis.append(group)
         return sv, sf, st, multis
 
     # ------------------------------------------------------------------
@@ -500,31 +439,16 @@ class BatchKsmScanner(KsmScanner):
         cache = self._stable_cache
         if cache is None or cache[0] != rev:
             fids = index.stable_fids()
-            arr = (
-                self._np.fromiter(fids, self._np.int64, len(fids))
-                if self._np is not None
-                else None
-            )
-            cache = self._stable_cache = (rev, fids, arr)
+            arr = self._np.fromiter(fids, self._np.int64, len(fids))
+            cache = self._stable_cache = (rev, arr)
         mirror = self._mirror
         np = self._np
-        if np is not None:
-            fid_arr = cache[2]
-            states = np.frombuffer(mirror.states, dtype=np.uint8)[fid_arr]
-            alive = states == FrameMirror.STABLE
-            shared = int(alive.sum())
-            refs = np.frombuffer(mirror.refs, dtype=np.int64)[fid_arr]
-            sharing = int(refs[alive].sum())
-        else:
-            states = mirror.states
-            refs = mirror.refs
-            stable = FrameMirror.STABLE
-            shared = 0
-            sharing = 0
-            for fid in cache[1]:
-                if states[fid] == stable:
-                    shared += 1
-                    sharing += refs[fid]
+        fid_arr = cache[1]
+        states = np.frombuffer(mirror.states, dtype=np.uint8)[fid_arr]
+        alive = states == FrameMirror.STABLE
+        shared = int(alive.sum())
+        refs = np.frombuffer(mirror.refs, dtype=np.int64)[fid_arr]
+        sharing = int(refs[alive].sum())
         self.history.append((self.clock.now_ms, shared, sharing))
 
     def unregister(self, table: PageTable) -> None:

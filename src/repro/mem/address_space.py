@@ -108,8 +108,8 @@ class PageTable:
     def translate_many(self, vpns, missing: int = -1) -> List[int]:
         """Bulk :meth:`translate`: one pfn per vpn, ``missing`` when unmapped.
 
-        Returns a plain list so callers can hand it straight to a columnar
-        backend (``missing`` defaults to -1, which is safely outside the
+        Returns a plain list so callers can hand it straight to a numpy
+        column (``missing`` defaults to -1, which is safely outside the
         non-negative pfn space).
         """
         get = self._entries.get

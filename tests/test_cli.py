@@ -145,11 +145,12 @@ _IGNORED = (
         )
     ]
     + [
-        (command, "--jobs")
+        (command, option)
         for command in (
             "fig2", "fig3a", "fig3b", "fig3c", "fig4", "fig5a", "fig5b",
             "fig5c", "scenario", "profile", "doctor",
         )
+        for option in ("--jobs", "--backend")
     ]
     + [
         ("doctor", option)

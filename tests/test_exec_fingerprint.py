@@ -103,7 +103,6 @@ class TestScenarioSpecFingerprint:
             {"ksm": KsmSettings(scan_policy="incremental")},
             {"faults": FaultPlan(1337)},
             {"ksm": KsmSettings(scan_engine="batch")},
-            {"backend": "columnar-stdlib"},
             {"tiering": TieringSettings(mode="compress")},
             {"hugepages": HugePageSettings(policy="always")},
         ],

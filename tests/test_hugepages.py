@@ -7,8 +7,7 @@ ranges into huge blocks and then lets KSM split its way through them
 converges to *byte-identical* sharing as an all-4 KiB twin.  Hypothesis
 drives random contents and block layouts through that round-trip, checks
 that collapse never absorbs a KSM-shared page, and runs the object and
-batch engines in lockstep over huge-backed universes (including the
-``REPRO_NO_NUMPY=1`` stdlib fallback).
+batch engines in lockstep over huge-backed universes.
 """
 
 import pytest
@@ -27,15 +26,13 @@ N_VPNS = BLOCK * N_RANGES
 N_TOKENS = 5
 
 
-def build_universe(tokens, block_ranges=(), engine="object", backend=None):
+def build_universe(tokens, block_ranges=(), engine="object"):
     """One table mapped with ``tokens``, huge blocks over the ranges."""
     physmem = HostPhysicalMemory(capacity_bytes=1 << 26, page_size=4096)
     if engine == "object":
         scanner = KsmScanner(physmem, SimClock(), KsmConfig())
     else:
-        scanner = BatchKsmScanner(
-            physmem, SimClock(), KsmConfig(), columnar_backend=backend
-        )
+        scanner = BatchKsmScanner(physmem, SimClock(), KsmConfig())
     table = PageTable("t0")
     for vpn, token in enumerate(tokens):
         physmem.map_token(table, vpn, token)
@@ -145,18 +142,6 @@ class TestEngineLockstepWithHugePages:
             obj_pm.block_splits_by_reason == bat_pm.block_splits_by_reason
         )
 
-    def test_lockstep_without_numpy(self, monkeypatch):
-        """The stdlib fallback splits and merges identically too."""
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        tokens = [(vpn % 3) + 1 for vpn in range(N_VPNS)]
-        ranges = set(range(0, N_RANGES, 2))
-        obj_pm, obj, _ = build_universe(tokens, ranges, engine="object")
-        bat_pm, bat, _ = build_universe(tokens, ranges, engine="batch")
-        obj.run_until_converged(max_passes=8)
-        bat.run_until_converged(max_passes=8)
-        assert obj.snapshot_stats() == bat.snapshot_stats()
-        assert obj.stats.thp_splits == bat.stats.thp_splits > 0
-        assert obj_pm.blocks_intact == bat_pm.blocks_intact
 
 
 class TestBlockMechanics:

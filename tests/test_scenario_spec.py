@@ -9,7 +9,6 @@ cache entries keep hitting), and only genuinely new configurations
 """
 
 import argparse
-import dataclasses
 
 import pytest
 
@@ -48,10 +47,6 @@ class TestFingerprintCompatibility:
             ),
             "6cb9723e04b8f78e",
         ),
-        (
-            ScenarioSpec("daytrader4", backend="columnar-stdlib", **KWARGS),
-            "4ceb72f8ebfe0304",
-        ),
     ]
 
     @pytest.mark.parametrize(
@@ -72,19 +67,17 @@ class TestFingerprintCompatibility:
         assert baseline.cache_parts()[0] == "scenario-run"
         assert spec.to_fingerprint() != baseline.to_fingerprint()
 
-    def test_jobs_never_reaches_the_fingerprint(self):
-        spec = ScenarioSpec(
-            "daytrader4",
-            hugepages=HugePageSettings(policy="always"),
-            **KWARGS,
-        )
-        assert spec.to_fingerprint() == dataclasses.replace(
-            spec, jobs=7
-        ).to_fingerprint()
-        legacy = ScenarioSpec("daytrader4", **KWARGS)
-        assert legacy.to_fingerprint() == dataclasses.replace(
-            legacy, jobs=7
-        ).to_fingerprint()
+    def test_explicit_columnar_backend_keeps_the_legacy_pin(self):
+        """One run, one cache key: naming the only pipeline changes
+        nothing."""
+        spec = ScenarioSpec("daytrader4", backend="columnar", **KWARGS)
+        assert spec.to_fingerprint() == "826077389b9a9d94"
+
+    @pytest.mark.parametrize("backend", ["colunmar", "dict"])
+    def test_other_backends_rejected_at_construction(self, backend):
+        """A misspelled or retired backend fails before any simulation."""
+        with pytest.raises(ValueError):
+            ScenarioSpec("daytrader4", backend=backend, **KWARGS)
 
 
 class TestFromCliArgs:
@@ -96,9 +89,7 @@ class TestFromCliArgs:
             scan_policy="hybrid",
             scan_engine="batch",
             tiering="compress",
-            backend=None,
             faults=None,
-            jobs=3,
             thp_policy="khugepaged",
             hugepages=64,
             deployment="shared-copy",
@@ -121,8 +112,7 @@ class TestFromCliArgs:
         assert spec.hugepages == HugePageSettings(
             policy="khugepaged", block_pages=64
         )
-        assert spec.backend == "dict"
-        assert spec.jobs == 3
+        assert spec.backend == "columnar"
 
     def test_faults_parsed_from_spec_string(self):
         spec = ScenarioSpec.from_cli_args(
